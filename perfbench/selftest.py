@@ -43,7 +43,7 @@ EXACT_COUNTS = (
     "xbar.row_compaction_ratio",
     "nn.im2col_calls",
 )
-OFFLINE = ("hil-pgd-float", "transfer-int8")
+OFFLINE = ("transfer-int8",)
 
 
 def check_spec() -> list[str]:

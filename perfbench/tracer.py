@@ -58,7 +58,8 @@ class Tracer:
         """Replace ``owner.attr`` with a span-recording wrapper.
 
         ``name`` is the span name, or a callable ``(args) -> name`` for
-        wrappers whose label depends on the receiver.
+        wrappers whose label depends on the receiver; a callable that
+        returns ``None`` lets that call run without a span.
         """
         original = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         tracer = self
@@ -66,7 +67,10 @@ class Tracer:
 
         @functools.wraps(original)
         def wrapper(*args, **kwargs):
-            span = tracer.open(label(args))
+            span_name = label(args)
+            if span_name is None:
+                return original(*args, **kwargs)
+            span = tracer.open(span_name)
             try:
                 return original(*args, **kwargs)
             finally:
@@ -134,16 +138,20 @@ class _SpanContext:
 def install_layer_spans(tracer: Tracer, hardware_ids: set[int], counts: dict) -> None:
     """Wrap the public entry points of every measured layer.
 
-    ``hardware_ids`` holds ``id()`` of the converted hardware models, so
-    a ``ResNet.forward`` span is labelled ``nn.hw_forward`` on hardware
-    and ``nn.victim_forward`` on the digital victim.  ``counts`` receives
+    ``hardware_ids`` holds ``id()`` of the converted hardware models and
+    of every module inside them, so a ``ResNet.forward`` span is
+    labelled ``nn.hw_forward`` on hardware and ``nn.victim_forward`` on
+    the digital victim, and the digital layers (batch norm, ReLU,
+    pooling) get an ``nn.digital`` span on hardware only.  The crossbar
+    layers' ``forward`` is ``xbar.layer``: im2col, the matvec and the
+    assembly of its output.  ``counts`` receives
     ``hw_images`` (images through hardware forwards) and
     ``predictor_rows`` (voltage rows sent to the GENIEx predictor).
     """
     from repro.attacks import base as attacks_base
     from repro.attacks.pgd import PGD
     from repro.autograd.tensor import Tensor
-    from repro.nn import conv
+    from repro.nn import conv, layers
     from repro.nn.resnet import ResNet
     from repro.serve.registry import ModelRegistry
     from repro.serve.telemetry import LiveTelemetry
@@ -156,6 +164,9 @@ def install_layer_spans(tracer: Tracer, hardware_ids: set[int], counts: dict) ->
             counts["hw_images"] = counts.get("hw_images", 0) + len(args[1].data)
             return "nn.hw_forward"
         return "nn.victim_forward"
+
+    def digital_label(args) -> str | None:
+        return "nn.digital" if id(args[0]) in hardware_ids else None
 
     def predictor_label(args) -> str:
         counts["predictor_rows"] = counts.get("predictor_rows", 0) + len(args[1])
@@ -172,6 +183,10 @@ def install_layer_spans(tracer: Tracer, hardware_ids: set[int], counts: dict) ->
     tracer.wrap(conv, "im2col", "nn.im2col")
     tracer.wrap(simulator, "im2col", "nn.im2col")
     tracer.wrap(ResNet, "forward", forward_label)
+    tracer.wrap(simulator.NonIdealConv2d, "forward", "xbar.layer")
+    tracer.wrap(simulator.NonIdealLinear, "forward", "xbar.layer")
+    for layer in (layers.BatchNorm2d, layers.ReLU, layers.GlobalAvgPool2d):
+        tracer.wrap(layer, "forward", digital_label)
     tracer.wrap(attacks_base, "predict_logits", "attacks.predict_logits")
     tracer.wrap(Tensor, "backward", "autograd.backward")
     tracer.wrap(PGD, "generate", "attacks.pgd")

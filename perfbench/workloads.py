@@ -1,4 +1,4 @@
-"""Set-up and timed phases of the three benchmark workloads.
+"""Set-up and timed phases of the benchmark workloads.
 
 Every workload runs cifar10 ResNet-20 from the committed model zoo on
 crossbar preset ``32x32_100k`` with the committed GENIEx surrogate.
@@ -6,12 +6,9 @@ The model, GENIEx and programming seeds are fixed: they define the
 system under test.  The workload seed only picks the evaluated images,
 their order and the serving arrival schedule.
 
-* ``hil-pgd-float`` -- Table IV adaptive cell: white-box PGD through the
-  float crossbar model (hardware-in-loop), then clean and adversarial
-  eval on that hardware.
 * ``transfer-int8`` -- Table III non-adaptive cell on the int8 path: PGD
   crafted on the digital victim, clean and adversarial eval on int8
-  hardware at batch 64.
+  hardware at batch 64, and single-image queries on that hardware.
 * ``serve-open`` -- open-loop Poisson arrivals into an in-process
   ``AnalogServer`` with a float (``fp``) and an int8 (``q``) tenant,
   ``ServeConfig()`` defaults and ``LiveTelemetry`` on.  Half of the
@@ -37,10 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.attacks import base as attacks_base
-from repro.attacks.hil import hil_whitebox_pgd
 from repro.attacks.pgd import PGD
 from repro.serve import AnalogServer, LiveTelemetry, ModelRegistry, ServeConfig, TenantSpec
-from repro.serve.server import ServeError
+from repro.serve.server import ServeError, ServerOverloaded
 from repro.train.zoo import ModelZoo
 from repro.verify.contracts import AttackContractViolation, assert_attack_contract
 from repro.xbar import presets, simulator
@@ -62,6 +58,15 @@ ENGINES_PER_MODEL = 22
 SERVE_RATES = (3.0, 10.0, 40.0)
 SERVE_REFERENCE_RPS = 3.0
 SERVE_P90_LIMIT_MS = 1000.0
+#: Timings are read at this percentile of their windows or requests,
+#: counted from the fast end.  The host runs in episodes of a few
+#: seconds at up to 1.7x its uncontended speed; how much of a run they
+#: cover varies from run to run and moves medians and tails by 15-30%,
+#: while the fast decile, which lies outside the episodes, moves by less
+#: than 10% (see README.md).
+FAST_PERCENTILE = 10
+#: Shares of the offline repeat time per window kind.
+OFFLINE_SHARES = {"eval": 0.5, "attack": 0.25, "query": 0.25}
 
 
 @dataclass(frozen=True)
@@ -69,23 +74,25 @@ class Sizes:
     """Work per run; ``short`` is the self-test size."""
 
     setup_repeats: int = 3
-    hil_images: int = 32
-    hil_pool: int = 34
-    hil_iterations: int = 3
-    hil_batch: int = 4
-    hil_eval_batch: int = 8
     transfer_images: int = 64
     transfer_pool: int = 68
     craft_iterations: int = 10
     craft_batch: int = 16
     eval_batch: int = 64
     serve_images: int = 16
-    serve_craft_batch: int = 16
-    serve_recraft_s: float = 4.0
-    serve_min_requests: int = 120
+    serve_craft_batch: int = 4
+    serve_recraft_s: float = 3.0
+    #: At least this many requests at the reference rate, so that ten
+    #: lie beyond its p90.
+    serve_min_requests: int = 100
+    #: The reference rung runs in this many open-loop parts, with attack
+    #: windows between them.
+    serve_reference_parts: int = 4
     #: Requests of the other ladder rungs: 3 s at 10 req/s, 2 s at
     #: 40 req/s -- long enough to overload, short enough that the
-    #: backlog stays under ServeConfig's queue limit of 64.
+    #: backlog stays under ServeConfig's queue limit of 64 unless the
+    #: lane runs at under half its usual speed.  Load shed beyond that
+    #: only costs the rung its goodput.
     serve_probe_seconds: float = 3.0
     serve_overload_seconds: float = 2.0
 
@@ -93,10 +100,10 @@ class Sizes:
     def short(cls) -> "Sizes":
         return cls(
             setup_repeats=1,
-            hil_images=4, hil_pool=6, hil_iterations=1, hil_batch=4, hil_eval_batch=4,
             transfer_images=8, transfer_pool=12, craft_iterations=2, craft_batch=8,
             eval_batch=8, serve_images=4, serve_craft_batch=4, serve_recraft_s=0.0,
-            serve_min_requests=12, serve_probe_seconds=1.0, serve_overload_seconds=0.25,
+            serve_min_requests=12, serve_reference_parts=2, serve_probe_seconds=1.0,
+            serve_overload_seconds=0.25,
         )
 
 
@@ -270,52 +277,50 @@ class Windows:
         self.jobs.append((kind, work, call, result))
         return result
 
-    def repeat(self, deadline: float, out: Outcome) -> None:
-        """Re-run first-pass windows until ``deadline``, alternating kinds.
+    def repeat(self, deadline: float, out: Outcome, shares: dict[str, float]) -> None:
+        """Re-run first-pass windows until ``deadline``.
 
-        Spreading every kind's windows over the whole run keeps its
-        rate from sampling only one stretch of host speed.  Each repeat
-        must reproduce its first output bit for bit.
+        The next window is always of the kind furthest below its share
+        of the repeat time, and each kind cycles through its jobs, so
+        every kind samples the whole run rather than one stretch of host
+        speed.  Each repeat must reproduce its first output bit for bit.
         """
         by_kind: dict[str, list] = {}
         for job in self.jobs:
             by_kind.setdefault(job[0], []).append(job)
-        order = sorted(by_kind)
-        i = 0
-        while order and time.perf_counter() < deadline:
-            jobs = by_kind[order[i % len(order)]]
-            kind, work, call, expected = jobs[(i // len(order)) % len(jobs)]
+        spent = dict.fromkeys(by_kind, 0.0)
+        turns = dict.fromkeys(by_kind, 0)
+        while by_kind and time.perf_counter() < deadline:
+            kind = min(sorted(by_kind), key=lambda k: spent[k] / shares[k])
+            jobs = by_kind[kind]
+            _, work, call, expected = jobs[turns[kind] % len(jobs)]
+            turns[kind] += 1
             result = self.time(kind, work, call)
+            spent[kind] += self.seconds[kind][-1]
             out.attempted += 1
             if not np.array_equal(result, expected):
                 out.fail(f"repeated {kind} window changed its output")
-            i += 1
 
     def rate(self, kind: str) -> float:
-        """Median work per second over the windows of ``kind``.
-
-        The median, not total work over total time: short bursts of a
-        faster host would otherwise pull single runs up.
-        """
-        return median(w / s for w, s in zip(self.work[kind], self.seconds[kind]))
+        """Work per second of the fast decile of the windows of ``kind``."""
+        rates = [w / s for w, s in zip(self.work[kind], self.seconds[kind])]
+        return percentile(rates, 100 - FAST_PERCENTILE)
 
     def latency_ms(self, kind: str, q: float) -> float:
         return percentile(self.seconds[kind], q) * 1e3
 
 
-def _attack(model, x, y, iterations: int, hil: bool) -> np.ndarray:
-    if hil:
-        return hil_whitebox_pgd(model, x, y, EPSILON, iterations=iterations, batch_size=len(x)).x_adv
+def _attack(model, x, y, iterations: int) -> np.ndarray:
     return PGD(EPSILON, iterations=iterations, batch_size=len(x)).generate(model, x, y).x_adv
 
 
-def _craft(windows: Windows, model, x, y, batch, iterations, out: Outcome, hil: bool):
+def _craft(windows: Windows, model, x, y, batch, iterations, out: Outcome):
     """PGD in windows of ``batch`` images; every output must meet the attack contract."""
     x_adv = np.empty_like(x)
     for sl in batches(len(x), batch):
         x_adv[sl] = windows.first(
             "attack", (sl.stop - sl.start) * iterations,
-            partial(_attack, model, x[sl], y[sl], iterations, hil),
+            partial(_attack, model, x[sl], y[sl], iterations),
         )
         out.attempted += 1
         try:
@@ -328,44 +333,47 @@ def _craft(windows: Windows, model, x, y, batch, iterations, out: Outcome, hil: 
 def _offline(workload, system, seed, sizes, seconds, out, tracer, fill):
     data = system.entry.task
     hw = system.hardware[workload]
-    hil = workload == "hil-pgd-float"
-    if hil:
-        idx = pick(seed, sizes.hil_pool, sizes.hil_images)
-        attack_model, batch, iterations = hw, sizes.hil_batch, sizes.hil_iterations
-        eval_batch = sizes.hil_eval_batch
-    else:
-        idx = pick(seed, sizes.transfer_pool, sizes.transfer_images)
-        attack_model, batch, iterations = system.entry.model, sizes.craft_batch, sizes.craft_iterations
-        eval_batch = sizes.eval_batch
+    idx = pick(seed, sizes.transfer_pool, sizes.transfer_images)
     x, y = data.x_test[idx], data.y_test[idx]
+    iterations = sizes.craft_iterations
     windows = Windows(tracer)
     start = time.perf_counter()
     # Attack and eval windows interleave, one eval batch at a time, so
     # both kinds sample the whole first pass.
     x_adv = np.empty_like(x)
     clean, adv = [], []
-    for sl in batches(len(x), eval_batch):
-        x_adv[sl] = _craft(windows, attack_model, x[sl], y[sl], batch, iterations, out, hil)
+    for sl in batches(len(x), sizes.eval_batch):
+        x_adv[sl] = _craft(windows, system.entry.model, x[sl], y[sl], sizes.craft_batch,
+                           iterations, out)
         for inputs, logits in ((x, clean), (x_adv, adv)):
             logits.append(windows.first(
                 "eval", sl.stop - sl.start,
-                partial(attacks_base.predict_logits, hw, inputs[sl], eval_batch),
+                partial(attacks_base.predict_logits, hw, inputs[sl], sizes.eval_batch),
             ))
     clean, adv = np.concatenate(clean), np.concatenate(adv)
     out.attempted += 2 * len(x)
+    # Single-image queries, the way a query-based attacker or a client
+    # without batching meets the chip: they carry the call latency.  The
+    # int8 kernels skip zero planes, so a query's cost depends on its
+    # image; querying every image keeps the mix the same for every seed.
+    for i in range(len(x)):
+        windows.first("query", 1, partial(attacks_base.predict_logits, hw, x[i:i + 1], 1))
+    out.attempted += len(x)
     if fill:
-        windows.repeat(start + seconds, out)
-    main = "attack" if hil else "eval"
+        windows.repeat(start + seconds, out, OFFLINE_SHARES)
     attack_rate, eval_rate = windows.rate("attack"), windows.rate("eval")
     out.digest = logits_digest(clean)
     out.notes["windows"] = {kind: len(secs) for kind, secs in windows.seconds.items()}
+    out.notes["window_ms_p10_p50_p90"] = {
+        kind: [round(percentile(secs, q) * 1e3, 1) for q in (10, 50, 90)]
+        for kind, secs in windows.seconds.items()
+    }
     out.metrics.update(
         clean_acc=accuracy(clean, y),
         adv_acc=accuracy(adv, y),
         eval_img_per_s=eval_rate,
         attack_img_iter_per_s=attack_rate,
-        call_p50_ms=windows.latency_ms(main, 50),
-        call_p90_ms=windows.latency_ms(main, 90),
+        call_p10_ms=windows.latency_ms("query", FAST_PERCENTILE),
         # One Table cell per image: the attack plus a clean and an
         # adversarial eval, at this run's measured stage rates.
         goodput_per_s=1.0 / (iterations / attack_rate + 2.0 / eval_rate),
@@ -379,6 +387,7 @@ def _offline(workload, system, seed, sizes, seconds, out, tracer, fill):
 class _Served:
     tenant: str
     image: int
+    due: float
     late_s: float
     latency_s: float
     result: object  # ServeResult or ServeError
@@ -389,36 +398,39 @@ async def _one(server, tenant, image_index, image, due, late, loop):
         result = await server.submit(tenant, image)
     except ServeError as exc:
         result = exc
-    return _Served(tenant, image_index, late, loop.time() - due, result)
+    return _Served(tenant, image_index, due, late, loop.time() - due, result)
 
 
-async def _open_loop(server, images, rate, count, seed) -> list[_Served]:
-    """Submit ``count`` open-loop arrivals at ``rate``/s; time each from its due time.
+def _schedule(n_images: int, rate: float, count: int, seed: int):
+    """Inter-arrival gaps and ``(tenant, image)`` pairs of ``count`` requests.
 
+    Gaps are exponential at stratified quantiles, in seed order: Poisson
+    marginals, but every seed offers the same gap mix, so the tail
+    latency does not hinge on one schedule's share of short gaps.
     Requests cycle through seed-shuffled rounds that hold every image
     three times for ``fp`` and once for ``q``.  With an even mix the
     median would fall between the float and int8 latency modes and jump
     from run to run; at 3:1 it lies inside the float mode.
     """
     rng = np.random.default_rng([seed, int(rate * 1000)])
-    # Exponential gaps at stratified quantiles, in seed order: Poisson
-    # marginals, but every seed offers the same gap mix, so the tail
-    # latency does not hinge on one schedule's share of short gaps.
-    gaps = -np.log1p(-(np.arange(count) + 0.5) / count) / rate
-    offsets = np.cumsum(rng.permutation(gaps))
+    gaps = rng.permutation(-np.log1p(-(np.arange(count) + 0.5) / count) / rate)
     pairs = [
         (tenant, image)
         for tenant, share in (("fp", 3), ("q", 1))
-        for image in range(len(images))
+        for image in range(n_images)
         for _ in range(share)
     ]
     rounds = -(-count // len(pairs))
     order = np.concatenate([rng.permutation(len(pairs)) for _ in range(rounds)])[:count]
+    return gaps, [pairs[i] for i in order]
+
+
+async def _open_loop(server, images, gaps, pairs) -> list[_Served]:
+    """Submit one open-loop arrival per gap; time each from its due time."""
     loop = asyncio.get_running_loop()
     t0 = loop.time() + 0.05
     tasks = []
-    for offset, pair in zip(offsets, order):
-        tenant, image_index = pairs[pair]
+    for offset, (tenant, image_index) in zip(np.cumsum(gaps), pairs):
         due = t0 + float(offset)
         delay = due - loop.time()
         if delay > 0:
@@ -446,19 +458,35 @@ def _rate_ok(records: list[_Served]) -> bool:
 async def _serve_phase(system, images, seed, sizes, seconds, windows: Windows, out: Outcome):
     server = AnalogServer(system.registry, ServeConfig(), telemetry=LiveTelemetry())
     ladder: dict[float, list[_Served]] = {}
+    # Seconds each rung ran, summed over its parts: first due time to
+    # last answer.
+    spans: dict[float, float] = {}
+    # Attack windows repeat between parts of the ladder, while nothing is
+    # in flight, so the attack rate samples the whole run.
+    burst_s = sizes.serve_recraft_s / (sizes.serve_reference_parts + len(SERVE_RATES) - 1)
     async with server:
         for rate in SERVE_RATES:
+            parts = 1
             if rate == SERVE_REFERENCE_RPS:
-                count = max(sizes.serve_min_requests, int(round(rate * seconds)))
+                # The reference rung gets the run's time left over by
+                # the other rungs and the attack repeats.
+                spare = (seconds - sizes.serve_probe_seconds - sizes.serve_overload_seconds
+                         - sizes.serve_recraft_s)
+                count = max(sizes.serve_min_requests, int(round(rate * spare)))
+                parts = sizes.serve_reference_parts
             elif rate == max(SERVE_RATES):
                 count = int(round(rate * sizes.serve_overload_seconds))
             else:
                 count = int(round(rate * sizes.serve_probe_seconds))
-            ladder[rate] = await _open_loop(server, images, rate, count, seed)
-            # Between rungs nothing is in flight: repeat attack windows
-            # here, so the attack rate samples the whole run.
-            windows.repeat(time.perf_counter() + sizes.serve_recraft_s / len(SERVE_RATES), out)
-    return ladder, server.stats()
+            gaps, pairs = _schedule(len(images), rate, count, seed)
+            ladder[rate], spans[rate] = [], 0.0
+            for part in np.array_split(np.arange(count), parts):
+                records = await _open_loop(server, images, gaps[part], [pairs[i] for i in part])
+                ladder[rate] += records
+                spans[rate] += (max(r.due + r.latency_s for r in records)
+                                - min(r.due for r in records))
+                windows.repeat(time.perf_counter() + burst_s, out, {"attack": 1.0})
+    return ladder, spans, server.stats()
 
 
 def _serve(system, seed, sizes, seconds, out: Outcome, tracer):
@@ -471,13 +499,29 @@ def _serve(system, seed, sizes, seconds, out: Outcome, tracer):
     x, y = data.x_test[: sizes.serve_images], data.y_test[: sizes.serve_images]
     windows = Windows(tracer)
     x_adv = _craft(windows, system.entry.model, x, y, sizes.serve_craft_batch,
-                   sizes.craft_iterations, out, hil=False)
+                   sizes.craft_iterations, out)
     images = np.concatenate([x, x_adv])
-    ladder, stats = asyncio.run(_serve_phase(system, images, seed, sizes, seconds, windows, out))
-    return windows, images, np.concatenate([y, y]), ladder, stats
+    ladder, spans, stats = asyncio.run(
+        _serve_phase(system, images, seed, sizes, seconds, windows, out)
+    )
+    return windows, images, np.concatenate([y, y]), ladder, spans, stats
 
 
-def _check_serve(system, windows, images, labels, ladder, stats, out: Outcome) -> None:
+def _goodput(ladder: dict, spans: dict) -> float:
+    """Answers within the limit per second of the highest rung that passes.
+
+    A rung that keeps up scores close to its offered rate; one that
+    falls behind scores less, since its last answers come late.
+    """
+    passing = [rate for rate, records in ladder.items() if _rate_ok(records)]
+    if not passing:
+        return 0.0
+    top = max(passing)
+    met = sum(1 for r in ladder[top] if r.latency_s * 1e3 <= SERVE_P90_LIMIT_MS)
+    return met / spans[top]
+
+
+def _check_serve(system, windows, images, labels, ladder, spans, stats, out: Outcome) -> None:
     """Score the served answers and hold them to the pinned-DAC contract."""
     # Every served row must equal a direct forward of the same image.
     reference = {
@@ -486,10 +530,18 @@ def _check_serve(system, windows, images, labels, ladder, stats, out: Outcome) -
     }
     records = [r for rate in ladder.values() for r in rate]
     served = [r for r in records if not isinstance(r.result, ServeError)]
-    out.attempted += len(records)
-    rejected = len(records) - len(served)
+    # Above the reference rate, shedding load is the server doing its
+    # job: it disqualifies that rung for goodput (see _rate_ok) but is
+    # neither a failure nor an attempted operation.
+    shed = sum(
+        1 for rate, recs in ladder.items() if rate != SERVE_REFERENCE_RPS
+        for r in recs if isinstance(r.result, ServerOverloaded)
+    )
+    out.attempted += len(records) - shed
+    rejected = len(records) - len(served) - shed
     if rejected:
         out.fail(f"{rejected} request(s) failed or were rejected", rejected)
+    out.notes["shed_above_reference"] = shed
     mismatched = sum(
         1 for r in served
         if r.result.logits.tobytes() != reference[r.tenant][r.image].tobytes()
@@ -509,19 +561,31 @@ def _check_serve(system, windows, images, labels, ladder, stats, out: Outcome) -
         ]))
 
     ref = [r.latency_s * 1e3 for r in ladder[SERVE_REFERENCE_RPS]]
+    by_tenant: dict[str, list[float]] = {}
+    for r in ladder[SERVE_REFERENCE_RPS]:
+        by_tenant.setdefault(r.tenant, []).append(r.latency_s * 1e3)
     infer_s = sum(r.result.infer_us / r.result.batch_size for r in served) / 1e6
     out.metrics.update(
         clean_acc=served_accuracy(False),
         adv_acc=served_accuracy(True),
         eval_img_per_s=len(served) / infer_s,
         attack_img_iter_per_s=windows.rate("attack"),
-        call_p50_ms=percentile(ref, 50),
-        call_p90_ms=percentile(ref, 90),
-        goodput_per_s=max((rate for rate, recs in ladder.items() if _rate_ok(recs)), default=0.0),
+        # Per tenant, then averaged: the float and int8 tenants form two
+        # latency modes, and a percentile of their mix jumps between them
+        # (spread 0.20 over ten runs, against 0.07 for either tenant's).
+        call_p10_ms=float(np.mean([
+            percentile(latencies, FAST_PERCENTILE) for latencies in by_tenant.values()
+        ])),
+        goodput_per_s=_goodput(ladder, spans),
     )
     out.notes["p90_ms_by_rate"] = {
         rate: round(percentile([r.latency_s * 1e3 for r in recs], 90), 1)
         for rate, recs in ladder.items()
+    }
+    out.notes["reference_ms_p10_p50_p90"] = [round(percentile(ref, q), 1) for q in (10, 50, 90)]
+    out.notes["reference_ms_by_tenant"] = {
+        tenant: [round(percentile(lat, q), 1) for q in (10, 50, 90)]
+        for tenant, lat in sorted(by_tenant.items())
     }
     at_reference = [r.result for r in ladder[SERVE_REFERENCE_RPS] if not isinstance(r.result, ServeError)]
     queued = [result.queued_us / 1e3 for result in at_reference]
