@@ -240,7 +240,7 @@ def measure(args, work_dir: Path) -> int:
     # A traced run sets up once: it runs the timed phase twice and must
     # stay well inside the 180 s a run may take.
     repeats = 1 if tracer is not None else sizes.setup_repeats
-    system, setup_seconds, misses, layer_reps = workloads.setup(
+    system, setup_seconds, setup_nominal, misses, layer_reps = workloads.setup(
         args.workload, ROOT / "artifacts", work_dir, repeats, tracer
     )
     hardware_ids.update(
@@ -286,6 +286,9 @@ def measure(args, work_dir: Path) -> int:
         "logits_sha256": out.digest,
         **out.notes,
         "setup_s_reps": [round(s, 4) for s in setup_seconds],
+        "probe_ms_p10_p50_p90": [
+            round(workloads.percentile(workloads.HOST.samples, q) * 1e3, 3) for q in (10, 50, 90)
+        ],
     }
     if tracer is not None:
         values, spans = per_layer(workloads, system, out, untraced, layer_reps, misses,
@@ -302,7 +305,10 @@ def measure(args, work_dir: Path) -> int:
         table = PER_LAYER
     else:
         values = dict(out.metrics)
-        values["setup_s"] = import_s + workloads.median(setup_seconds)
+        # Imports, scaled by the host speed of the first set-up, plus
+        # the median set-up, all at nominal host speed.
+        values["setup_s"] = (import_s * setup_nominal[0] / setup_seconds[0]
+                             + workloads.median(setup_nominal))
         values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         values["ok_share"] = 1.0 - out.failed / max(out.attempted, 1)
         table = END_TO_END
