@@ -137,10 +137,6 @@ echo "=== bench smoke: drift-counter overhead (tiny profile) ==="
 REPRO_BENCH_PROFILE=tiny python scripts/bench_drift.py
 
 echo
-echo "=== bench smoke: hot-path microbenchmark (tiny profile) ==="
-REPRO_BENCH_PROFILE=tiny python scripts/bench_perf.py
-
-echo
 echo "=== bench smoke: parallel backend (tiny profile) ==="
 REPRO_BENCH_PROFILE=tiny python scripts/bench_parallel.py
 

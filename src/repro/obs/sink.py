@@ -48,8 +48,9 @@ def git_sha() -> str | None:
 def runtime_stamp(extra: dict | None = None) -> dict:
     """Provenance stamp shared by run manifests and benchmark artifacts.
 
-    ``scripts/bench_perf.py`` stamps ``BENCH_14_hotpath.json`` through
-    this helper so bench points are comparable across commits.
+    The ``scripts/bench_*.py`` benchmarks stamp their ``BENCH_*.json``
+    files through this helper so bench points are comparable across
+    commits.
     """
     import numpy as np
 

@@ -58,9 +58,12 @@ class InvariantViolation(AssertionError):
     """A verification check failed; the message localizes the drift."""
 
 
-def _engine(weight, config, predictor, kernel, seed=None):
-    rng = np.random.default_rng(seed) if seed is not None else None
-    return CrossbarEngine(weight, config, predictor, rng=rng, kernel=kernel)
+def _rng(seed):
+    return np.random.default_rng(seed) if seed is not None else None
+
+
+def _engine(weight, config, predictor, seed=None):
+    return CrossbarEngine(weight, config, predictor, rng=_rng(seed))
 
 
 def _expect_equal(name: str, expected: np.ndarray, got: np.ndarray) -> None:
@@ -72,26 +75,37 @@ def _expect_equal(name: str, expected: np.ndarray, got: np.ndarray) -> None:
 # Differential checks against the oracle
 # ----------------------------------------------------------------------
 
+def _expect_oracle_parity(name: str, oracle, engine, x: np.ndarray) -> None:
+    """Engine outputs, guard trips and fault maps must match the oracle."""
+    _expect_equal(f"{name} vs oracle", oracle.matvec(x), engine.matvec(x))
+    if engine.guard_trips != oracle.guard_trips:
+        raise InvariantViolation(
+            f"{name} guard trips {engine.guard_trips} != oracle {oracle.guard_trips}"
+        )
+    if engine.fault_summary != oracle.fault_summary:
+        raise InvariantViolation(
+            f"{name} fault map {engine.fault_summary} != oracle {oracle.fault_summary}"
+        )
+
+
 def check_kernels_match_oracle(
     weight: np.ndarray,
     config: CrossbarConfig,
     predictor,
     x: np.ndarray,
     seed: int | None = None,
-) -> None:
-    """Both engine kernels must reproduce the oracle bit for bit.
+) -> CrossbarEngine:
+    """The float kernel must reproduce the oracle bit for bit.
 
     ``seed`` drives construction randomness (programming noise, fault
-    chip tokens); oracle and engines consume identical streams.
+    chip tokens); oracle and engine consume identical streams, so the
+    probe-based gain calibration, the guard-trip count and the injected
+    fault map must agree too.  Returns the checked engine.
     """
-    oracle = OracleEngine(
-        weight, config, predictor,
-        rng=np.random.default_rng(seed) if seed is not None else None,
-    )
-    expected = oracle.matvec(x)
-    for kernel in ("vectorized", "reference"):
-        got = _engine(weight, config, predictor, kernel, seed).matvec(x)
-        _expect_equal(f"{kernel} kernel vs oracle", expected, got)
+    oracle = OracleEngine(weight, config, predictor, rng=_rng(seed))
+    engine = _engine(weight, config, predictor, seed)
+    _expect_oracle_parity("float kernel", oracle, engine, x)
+    return engine
 
 
 def check_cache_warm_cold(
@@ -129,7 +143,7 @@ def check_compaction_row_independence(
     violated before the row-stable matmul fix (see
     :mod:`repro.xbar.numerics`).
     """
-    engine = _engine(weight, config, predictor, "vectorized")
+    engine = _engine(weight, config, predictor)
     batch = engine.matvec(x)
     pos_anchor = int(np.argmax(np.maximum(x, 0.0).max(axis=1)))
     neg_anchor = int(np.argmax(np.maximum(-x, 0.0).max(axis=1)))
@@ -156,7 +170,7 @@ def check_dense_vs_zero_row_batch(
     legitimately reads the backend's V=0 response — nonzero for the
     GENIEx surrogate — which the differential checks pin instead.)
     """
-    engine = _engine(weight, config, predictor, "vectorized")
+    engine = _engine(weight, config, predictor)
     dense = engine.matvec(x)
     padded = np.vstack([x, np.zeros((2, x.shape[1]))])
     out = engine.matvec(padded)
@@ -178,7 +192,7 @@ def check_power_of_two_scaling(
     streams, the analog evaluation and the ADC all see identical
     values.
     """
-    engine = _engine(weight, config, predictor, "vectorized")
+    engine = _engine(weight, config, predictor)
     base = engine.matvec(x)
     for k in (2.0, 0.25):
         scaled = engine.matvec(x * k)
@@ -198,9 +212,9 @@ def check_output_column_permutation(
     columns, which is the physics the paper relies on.)
     """
     predictor = IdealPredictor()
-    base = _engine(weight, config, predictor, "vectorized").matvec(x)
+    base = _engine(weight, config, predictor).matvec(x)
     perm = np.random.default_rng(seed).permutation(weight.shape[0])
-    permuted = _engine(weight[perm], config, predictor, "vectorized").matvec(x)
+    permuted = _engine(weight[perm], config, predictor).matvec(x)
     _expect_equal("permuted output columns", base[:, perm], permuted)
 
 
@@ -210,7 +224,7 @@ def check_dead_bank_padding(
     """Appending dead input tiles (zero weights, zero inputs) is a no-op.
 
     The padded features form whole extra row-banks whose bit-streams
-    are all zero, so both kernels must skip them outright — the live
+    are all zero, so the kernel must skip them outright — the live
     banks' accumulation sequence, and therefore every output bit, is
     unchanged.  (A swap of two *live* banks is deliberately not
     asserted: it reorders a multi-term float accumulation, which is
@@ -225,10 +239,9 @@ def check_dead_bank_padding(
         [weight, np.zeros((weight.shape[0], pad), dtype=weight.dtype)], axis=1
     )
     x_p = np.concatenate([x, np.zeros((x.shape[0], pad))], axis=1)
-    for kernel in ("vectorized", "reference"):
-        base = _engine(weight, config, predictor, kernel).matvec(x)
-        padded = _engine(weight_p, config, predictor, kernel).matvec(x_p)
-        _expect_equal(f"dead-bank padding ({kernel})", base, padded)
+    base = _engine(weight, config, predictor).matvec(x)
+    padded = _engine(weight_p, config, predictor).matvec(x_p)
+    _expect_equal("dead-bank padding", base, padded)
 
 
 def check_zero_weight_zero_output(
@@ -244,7 +257,7 @@ def check_zero_weight_zero_output(
     if config.device.program_sigma or config.faults.enabled:
         raise ValueError("zero-weight check requires a noise/fault-free config")
     weight = np.zeros((out_features, x.shape[1]), dtype=np.float32)
-    out = _engine(weight, config, predictor, "vectorized").matvec(x)
+    out = _engine(weight, config, predictor).matvec(x)
     _expect_equal("zero weight output", np.zeros_like(out), out)
 
 
@@ -261,7 +274,7 @@ def check_zero_columns_zero_output(
         raise ValueError("zero-column check requires a noise/fault-free config")
     weight = np.array(weight, copy=True)
     weight[::2] = 0.0
-    out = _engine(weight, config, IdealPredictor(), "vectorized").matvec(x)
+    out = _engine(weight, config, IdealPredictor()).matvec(x)
     _expect_equal("zeroed output columns", np.zeros_like(out[:, ::2]), out[:, ::2])
 
 
@@ -286,10 +299,8 @@ def check_faultfree_faults_identity(
     token when faults are enabled, so a disabled fault layer must leave
     the construction RNG stream untouched.
     """
-    plain = _engine(weight, config, predictor, "vectorized", seed=5)
-    disabled = _engine(
-        weight, with_faults(config, FaultConfig()), predictor, "vectorized", seed=5
-    )
+    plain = _engine(weight, config, predictor, seed=5)
+    disabled = _engine(weight, with_faults(config, FaultConfig()), predictor, seed=5)
     _expect_equal("fault-free fault layer", plain.matvec(x), disabled.matvec(x))
 
 
@@ -297,7 +308,7 @@ def check_empty_batch(
     weight: np.ndarray, config: CrossbarConfig, predictor
 ) -> None:
     """A zero-row batch must return a (0, out) result, not crash."""
-    engine = _engine(weight, config, predictor, "vectorized")
+    engine = _engine(weight, config, predictor)
     out = engine.matvec(np.zeros((0, weight.shape[1])))
     if out.shape != (0, weight.shape[0]):
         raise InvariantViolation(f"empty batch returned shape {out.shape}")
@@ -328,7 +339,7 @@ def check_quant_kernels_match_oracle(
     x: np.ndarray,
     seed: int | None = None,
 ) -> None:
-    """Both integer kernels must reproduce the quantized oracle bit for bit.
+    """The integer kernel must reproduce the quantized oracle bit for bit.
 
     Covers the full integer pulse-expansion chain — static-scale
     quantization, sign-magnitude plane split, raw ADC-code shift-and-add
@@ -339,21 +350,11 @@ def check_quant_kernels_match_oracle(
     if not config.quant.enabled:
         raise ValueError("quant differential requires a quant-enabled config")
     scale = _quant_scale(x, config)
-    oracle = OracleEngine(
-        weight, config, predictor,
-        rng=np.random.default_rng(seed) if seed is not None else None,
-    )
+    oracle = OracleEngine(weight, config, predictor, rng=_rng(seed))
     oracle.set_input_scale(scale)
-    expected = oracle.matvec(x)
-    for kernel in ("vectorized", "reference"):
-        engine = _engine(weight, config, predictor, kernel, seed)
-        engine.set_input_scale(scale)
-        _expect_equal(f"int {kernel} kernel vs oracle", expected, engine.matvec(x))
-        if engine.guard_trips != oracle.guard_trips:
-            raise InvariantViolation(
-                f"int {kernel} kernel guard trips {engine.guard_trips} != "
-                f"oracle {oracle.guard_trips}"
-            )
+    engine = _engine(weight, config, predictor, seed)
+    engine.set_input_scale(scale)
+    _expect_oracle_parity("int kernel", oracle, engine, x)
 
 
 def check_quant_float_fallback(
@@ -366,8 +367,8 @@ def check_quant_float_fallback(
     field never perturbs construction randomness or the float chain).
     """
     quant_off = with_quant(config, QuantConfig())
-    expected = _engine(weight, quant_off, predictor, "vectorized", seed=3).matvec(x)
-    engine = _engine(weight, config, predictor, "vectorized", seed=3)
+    expected = _engine(weight, quant_off, predictor, seed=3).matvec(x)
+    engine = _engine(weight, config, predictor, seed=3)
     if engine.quant_active:
         raise InvariantViolation("engine claims int mode before any calibration")
     _expect_equal("uncalibrated quant engine vs float build", expected, engine.matvec(x))
@@ -382,7 +383,7 @@ def check_quant_batch_independence(
     scale removes the batch-maximum coupling entirely, so *any* subset
     — each row alone — must reproduce its in-batch bits.
     """
-    engine = _engine(weight, config, predictor, "vectorized")
+    engine = _engine(weight, config, predictor)
     engine.set_input_scale(_quant_scale(x, config))
     batch = engine.matvec(x)
     for i in range(x.shape[0]):
@@ -394,7 +395,7 @@ def check_quant_zero_and_empty(
     weight: np.ndarray, config: CrossbarConfig, predictor
 ) -> None:
     """Int mode: empty batches return (0, out); zero batches exact zeros."""
-    engine = _engine(weight, config, predictor, "vectorized")
+    engine = _engine(weight, config, predictor)
     engine.set_input_scale(1.0)
     out = engine.matvec(np.zeros((0, weight.shape[1])))
     if out.shape != (0, weight.shape[0]):
@@ -550,10 +551,9 @@ def check_drift_zero_identity(
     """
     if config.device.program_sigma or config.faults.enabled:
         raise ValueError("drift zero-identity requires a noise/fault-free config")
-    static = _engine(weight, config, predictor, "vectorized", seed=seed)
+    static = _engine(weight, config, predictor, seed=seed)
     drifting = _engine(
-        weight, with_drift(config, _default_drift(seed)), predictor,
-        "vectorized", seed=seed,
+        weight, with_drift(config, _default_drift(seed)), predictor, seed=seed
     )
     _expect_equal("drifting engine at t=0", static.matvec(x), drifting.matvec(x))
     if drifting.sync_drift() and drifting.applied_drift_epoch == 0:
@@ -578,8 +578,8 @@ def check_drift_determinism(
     runs resumable and shardable.
     """
     drifted = with_drift(config, _default_drift(seed))
-    a = _engine(weight, drifted, predictor, "vectorized", seed=seed)
-    b = _engine(weight, drifted, predictor, "vectorized", seed=seed)
+    a = _engine(weight, drifted, predictor, seed=seed)
+    b = _engine(weight, drifted, predictor, seed=seed)
     for block in range(blocks):
         ya, yb = a.matvec(x), b.matvec(x)
         _expect_equal(f"drift replay block {block}", ya, yb)
@@ -649,7 +649,7 @@ def check_drift_reprogram_restore(
     must reproduce the freshly programmed outputs exactly.
     """
     drifted = with_drift(config, _default_drift(seed))
-    engine = _engine(weight, drifted, predictor, "vectorized", seed=seed)
+    engine = _engine(weight, drifted, predictor, seed=seed)
     fresh = engine.matvec(x)
     for _ in range(20):
         engine.matvec(x)
@@ -713,20 +713,15 @@ def check_serve_split_identity(
     is built on.
     """
     limit = float(np.abs(x).max()) or 1.0
-    for kernel in ("vectorized", "reference"):
-        engine = _engine(weight, config, predictor, kernel, seed)
-        engine.set_dac_range(limit)
-        batch = engine.matvec(x)
-        for i in range(x.shape[0]):
-            solo = engine.matvec(x[i : i + 1])
-            _expect_equal(
-                f"{kernel}: row {i} alone vs in batch (pinned)",
-                batch[i : i + 1],
-                solo,
-            )
-        cut = max(1, x.shape[0] // 3)
-        split = np.vstack([engine.matvec(x[:cut]), engine.matvec(x[cut:])])
-        _expect_equal(f"{kernel}: uneven split vs dense batch", batch, split)
+    engine = _engine(weight, config, predictor, seed)
+    engine.set_dac_range(limit)
+    batch = engine.matvec(x)
+    for i in range(x.shape[0]):
+        solo = engine.matvec(x[i : i + 1])
+        _expect_equal(f"row {i} alone vs in batch (pinned)", batch[i : i + 1], solo)
+    cut = max(1, x.shape[0] // 3)
+    split = np.vstack([engine.matvec(x[:cut]), engine.matvec(x[cut:])])
+    _expect_equal("uneven split vs dense batch", batch, split)
 
 
 def check_serve_split_identity_int8(
@@ -747,18 +742,13 @@ def check_serve_split_identity_int8(
     if not config.quant.enabled:
         raise ValueError("int8 serve identity requires a quant-enabled config")
     limit = float(np.abs(x).max()) or 1.0
-    for kernel in ("vectorized", "reference"):
-        engine = _engine(weight, config, predictor, kernel, seed)
-        engine.set_input_scale(_quant_scale(x, config))
-        engine.set_dac_range(limit)
-        batch = engine.matvec(x)
-        for i in range(x.shape[0]):
-            solo = engine.matvec(x[i : i + 1])
-            _expect_equal(
-                f"int {kernel}: row {i} alone vs in batch (pinned)",
-                batch[i : i + 1],
-                solo,
-            )
+    engine = _engine(weight, config, predictor, seed)
+    engine.set_input_scale(_quant_scale(x, config))
+    engine.set_dac_range(limit)
+    batch = engine.matvec(x)
+    for i in range(x.shape[0]):
+        solo = engine.matvec(x[i : i + 1])
+        _expect_equal(f"int: row {i} alone vs in batch (pinned)", batch[i : i + 1], solo)
 
 
 def check_serve_pin_matches_autorange(
@@ -784,12 +774,61 @@ def check_serve_pin_matches_autorange(
     xa = xa[xa.max(axis=1) > 0.55 * lsb]
     if len(xa) < 2:
         raise ValueError("pin-vs-autorange needs >= 2 surviving rows")
-    for kernel in ("vectorized", "reference"):
-        auto = _engine(weight, config, predictor, kernel, seed).matvec(xa)
-        pinned = _engine(weight, config, predictor, kernel, seed)
-        pinned.set_dac_range(float(xa.max()))
-        _expect_equal(f"{kernel}: pinned at batch max vs auto-ranged",
-                      auto, pinned.matvec(xa))
+    auto = _engine(weight, config, predictor, seed).matvec(xa)
+    pinned = _engine(weight, config, predictor, seed)
+    pinned.set_dac_range(float(xa.max()))
+    _expect_equal("pinned at batch max vs auto-ranged", auto, pinned.matvec(xa))
+
+
+def _pinned_pair(weight, config, predictor, x, seed):
+    """Oracle and engine, both pinned below the batch maximum."""
+    limit = 0.75 * float(np.abs(x).max()) or 1.0  # some inputs clip
+    pair = (
+        OracleEngine(weight, config, predictor, rng=_rng(seed)),
+        _engine(weight, config, predictor, seed),
+    )
+    for engine in pair:
+        if config.quant.enabled:
+            engine.set_input_scale(_quant_scale(x, config))
+        engine.set_dac_range(limit)
+    return pair
+
+
+def check_serve_pinned_matches_oracle(
+    weight: np.ndarray,
+    config: CrossbarConfig,
+    predictor,
+    x: np.ndarray,
+    seed: int | None = None,
+) -> None:
+    """A pinned float engine must reproduce the pinned oracle bit for bit.
+
+    Covers the fixed-reference DAC (clipping against the pinned range)
+    and the serving-mode dead-row rule — a row that drives no voltage on
+    a compacted stream contributes exactly zero — at 0 ULP, instead of
+    only through the split-identity properties.
+    """
+    oracle, engine = _pinned_pair(weight, config, predictor, x, seed)
+    _expect_oracle_parity("pinned float kernel", oracle, engine, x)
+
+
+def check_serve_pinned_int8_matches_oracle(
+    weight: np.ndarray,
+    config: CrossbarConfig,
+    predictor,
+    x: np.ndarray,
+    seed: int | None = None,
+) -> None:
+    """A pinned int8 engine must reproduce the pinned oracle bit for bit.
+
+    The integer path's dead-row rule: rows with no pulse on a compacted
+    plane add no ADC codes, so their differential accumulation stays
+    exactly zero whatever their batch-mates drive.
+    """
+    if not config.quant.enabled:
+        raise ValueError("pinned int8 differential requires a quant-enabled config")
+    oracle, engine = _pinned_pair(weight, config, predictor, x, seed)
+    _expect_oracle_parity("pinned int kernel", oracle, engine, x)
 
 
 def check_serve_snapshot_idempotence(
@@ -848,7 +887,7 @@ def check_serve_pulse_conservation(
     ]
     reference = None
     for plan_index, plan in enumerate(plans):
-        engine = _engine(weight, drifted, predictor, "vectorized", seed=seed)
+        engine = _engine(weight, drifted, predictor, seed=seed)
         engine.set_dac_range(limit)
         out = np.vstack([engine.matvec(part) for part in plan])
         if engine.pulse_count != len(x):
@@ -883,14 +922,14 @@ def check_queue_merge_order_identity(
     limit = float(np.abs(x).max()) or 1.0
     shards = [x[i : i + shard_size] for i in range(0, len(x), shard_size)]
 
-    serial_engine = _engine(weight, drifted, predictor, "vectorized", seed=seed)
+    serial_engine = _engine(weight, drifted, predictor, seed=seed)
     serial_engine.set_dac_range(limit)
     serial = [serial_engine.matvec(shard) for shard in shards]
 
     rng = np.random.default_rng(seed + 1)
     for trial in range(3):
         order = rng.permutation(len(shards))
-        engine = _engine(weight, drifted, predictor, "vectorized", seed=seed)
+        engine = _engine(weight, drifted, predictor, seed=seed)
         engine.set_dac_range(limit)
         outcomes: list = [None] * len(shards)
         for index in order:
@@ -898,7 +937,7 @@ def check_queue_merge_order_identity(
         # A speculative duplicate runs on a replica and is discarded
         # whole; it must not perturb the primary's merged outputs.
         twin_index = int(order[0])
-        twin = _engine(weight, drifted, predictor, "vectorized", seed=seed)
+        twin = _engine(weight, drifted, predictor, seed=seed)
         twin.set_dac_range(limit)
         twin.matvec(shards[twin_index])  # loser outcome: dropped
         if engine.pulse_count != serial_engine.pulse_count:
@@ -934,7 +973,7 @@ def check_lane_isolation_identity(
     shards = [x[i : i + 1] for i in range(len(x))]
 
     def fresh(name):
-        engine = _engine(weights[name], drifted, predictor, "vectorized", seed=seed)
+        engine = _engine(weights[name], drifted, predictor, seed=seed)
         engine.set_dac_range(limit)
         return engine
 

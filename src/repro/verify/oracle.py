@@ -189,6 +189,9 @@ class OracleEngine:
         # Static input scale of the quantized mode; None keeps the
         # float path (mirrors CrossbarEngine.x_scale).
         self.x_scale: float | None = None
+        # Pinned DAC full-scale range of serving mode; None auto-ranges
+        # per batch (mirrors CrossbarEngine.dac_range).
+        self.dac_range: float | None = None
 
         # --- weight quantization (per element) -------------------------
         matrix = np.asarray(weight, dtype=np.float64).T  # (in, out)
@@ -356,6 +359,26 @@ class OracleEngine:
             raise ValueError(f"input scale must be positive and finite, got {scale}")
         self.x_scale = scale
 
+    def set_dac_range(self, limit: float) -> None:
+        """Pin the DAC range (mirrors the engine's serving-mode setter).
+
+        Pinned, every row quantizes against ``limit`` (inputs beyond it
+        clip), and a row that drives no voltage on a (bank, stream) or
+        (bank, plane) evaluation contributes exactly nothing to it — the
+        result it would get alone, where that evaluation is skipped.
+        """
+        limit = float(limit)
+        if not limit > 0.0 or not np.isfinite(limit):
+            raise ValueError(f"DAC range must be positive and finite, got {limit}")
+        self.dac_range = limit
+
+    def _live_rows(self, seg: np.ndarray) -> list[int]:
+        """Rows that contribute to one evaluation (all unless pinned)."""
+        return [
+            i for i in range(seg.shape[0])
+            if self.dac_range is None or seg[i].any()
+        ]
+
     def _matvec_int(self, x: np.ndarray) -> np.ndarray:
         """Naive quantized-mode MVM: integer shift-and-add over ADC codes.
 
@@ -413,6 +436,7 @@ class OracleEngine:
                             voltages[i, j] = float(seg[i, j]) * v_step
                     currents = self.predictor.predict_from_bias(voltages, bank.handle)
                     fallback = self._guard_mask(currents, bank)
+                    live = self._live_rows(seg)
                     # Whole differential column groups fall back
                     # together (a lone pos/neg array would break the
                     # common-mode cancellation).
@@ -431,7 +455,7 @@ class OracleEngine:
                         )
                         if (chunk.col_start, chunk.col_stop) in marked:
                             any_fallback = True
-                            for i in range(n):
+                            for i in live:
                                 for k in range(chunk.width):
                                     dot = 0
                                     for j in range(width):
@@ -447,7 +471,7 @@ class OracleEngine:
                                         dot += int(seg[i, j]) * level
                                     B[i][chunk.col_start + k] += factor * dot
                         else:
-                            for i in range(n):
+                            for i in live:
                                 for k in range(chunk.width):
                                     current = currents[i, chunk.offset + k]
                                     if not np.isfinite(current):
@@ -474,15 +498,19 @@ class OracleEngine:
         out = np.zeros((n, self.out_features), dtype=np.float64)
         if n == 0:
             return out
-        x_max = float(x.max())
-        if x_max == 0.0:
-            return out
+        if self.dac_range is not None:
+            x_max = self.dac_range  # fixed reference: inputs beyond it clip
+        else:
+            x_max = float(x.max())
+            if x_max == 0.0:
+                return out
         x_lsb = x_max / (bs.input_levels - 1)
         top = bs.input_levels - 1
         x_int = np.zeros(x.shape, dtype=np.int64)
         for i in range(n):
             for j in range(x.shape[1]):
-                x_int[i, j] = int(np.clip(np.rint(x[i, j] / x_lsb), 0, top))
+                value = min(float(x[i, j]), x_max)
+                x_int[i, j] = int(np.clip(np.rint(value / x_lsb), 0, top))
         streams = naive_slice_lsb_first(x_int, bs.input_bits, bs.stream_bits)
 
         rows = self.config.rows
@@ -507,7 +535,7 @@ class OracleEngine:
                     # engine's substitution).
                     quantized[:, fallback] = voltages @ bank.ideal_bias[:, fallback]
                 stream_scale = float(2.0 ** (bs.stream_bits * t))
-                for i in range(n):
+                for i in self._live_rows(seg):
                     # Pairwise np.sum: the row-voltage reduction is part
                     # of the shared numerical contract (see module doc).
                     v_sum = float(voltages[i].sum())

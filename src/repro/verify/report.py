@@ -2,7 +2,7 @@
 
 A run of the catalog produces one :class:`ConformanceReport`: one
 :class:`CheckResult` per invariant/differential check, plus enough
-environment detail (seed, kernel default, compiled-kernel availability)
+environment detail (seed, compiled-kernel availability)
 to reproduce a failure.  The report serializes to JSON under
 ``artifacts/`` so CI runs leave a machine-readable trail.
 """
@@ -39,7 +39,6 @@ class ConformanceReport:
 
     seed: int
     quick: bool
-    kernel_default: str
     ckernels: bool
     results: list[CheckResult] = field(default_factory=list)
     started: float = field(default_factory=time.time)
@@ -63,7 +62,6 @@ class ConformanceReport:
         return {
             "seed": self.seed,
             "quick": self.quick,
-            "kernel_default": self.kernel_default,
             "ckernels": self.ckernels,
             "seconds": round(time.time() - self.started, 3),
             "counts": self.counts,
@@ -82,7 +80,7 @@ class ConformanceReport:
         lines = [
             f"verification catalog: {c['pass']} passed, {c['fail']} failed, "
             f"{c['skip']} skipped (seed={self.seed}, "
-            f"kernel={self.kernel_default}, ckernels={'on' if self.ckernels else 'off'})"
+            f"ckernels={'on' if self.ckernels else 'off'})"
         ]
         for r in self.results:
             if r.status == "fail":

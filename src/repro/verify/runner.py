@@ -33,7 +33,7 @@ from repro.xbar.faults import FaultConfig, GuardConfig, with_faults, with_guard
 from repro.xbar.geniex import GENIExTrainConfig, GENIExTrainer
 from repro.xbar.presets import CrossbarConfig
 from repro.xbar.quant import QuantConfig, with_quant
-from repro.xbar.simulator import CircuitPredictor, IdealPredictor, default_kernel
+from repro.xbar.simulator import CircuitPredictor, IdealPredictor
 
 
 def tiny_config(
@@ -299,6 +299,9 @@ def _catalog(
         ),
     )
     int8_serve = with_quant(tiny_config(adc_bits=6), QuantConfig(mode="int8"))
+    # A 12-bit ADC resolves the surrogate's zero-bias dark current into
+    # nonzero codes, so the pinned int8 differential sees dead rows.
+    int8_fine_adc = with_quant(tiny_config(adc_bits=12), QuantConfig(mode="int8"))
     for pname, predictor in predictors:
         if pname == "circuit":
             continue
@@ -312,6 +315,18 @@ def _catalog(
             f"metamorphic/{pname}/serve_split_identity_int8",
             lambda p=predictor: inv.check_serve_split_identity_int8(
                 weight, int8_serve, p, x, seed=seed
+            ),
+        )
+        yield (
+            f"differential/{pname}/serve_pinned_vs_oracle",
+            lambda p=predictor: inv.check_serve_pinned_matches_oracle(
+                weight, base, p, x, seed=seed
+            ),
+        )
+        yield (
+            f"differential/{pname}/serve_pinned_int8_vs_oracle",
+            lambda p=predictor: inv.check_serve_pinned_int8_matches_oracle(
+                weight, int8_fine_adc, p, x, seed=seed
             ),
         )
         yield (
@@ -370,12 +385,7 @@ def run_verification(
     Never raises on check failure — failures are recorded in the report
     (callers decide the exit code from ``report.passed``).
     """
-    report = ConformanceReport(
-        seed=seed,
-        quick=quick,
-        kernel_default=default_kernel(),
-        ckernels=_ckernels.available(),
-    )
+    report = ConformanceReport(seed=seed, quick=quick, ckernels=_ckernels.available())
     for name, check in _catalog(seed, quick):
         start = time.perf_counter()
         try:

@@ -42,7 +42,6 @@ from repro.xbar.presets import (
     preset_names,
 )
 from repro.xbar.simulator import (
-    KERNEL_MODES,
     CircuitPredictor,
     CrossbarEngine,
     IdealPredictor,
@@ -51,7 +50,6 @@ from repro.xbar.simulator import (
     convert_to_hardware,
     build_engine,
     calibrate_hardware,
-    default_kernel,
     fault_summary,
     guard_trips,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "CrossbarEngine",
     "IdealPredictor",
     "CircuitPredictor",
-    "KERNEL_MODES",
-    "default_kernel",
     "NonIdealConv2d",
     "NonIdealLinear",
     "convert_to_hardware",

@@ -128,7 +128,7 @@ int dequant_dots(const double *cur, const double *v_sum, const double *colw,
      * raw currents are tested for finiteness, with check=2 also
      * against the saturation limit.  Returns nonzero when anything is
      * sick — the caller then discards ``out`` and reruns the bank
-     * through the reference guard path. */
+     * through the per-stream guard chain. */
     int sick = 0;
     for (long i = 0; i < n; ++i) {
         double gv = g_min * v_sum[i];

@@ -139,11 +139,6 @@ class GENIEx:
         self._w1v = np.ascontiguousarray(self.w1[:, :rows])  # (H, R)
         self._w1g = np.ascontiguousarray(self.w1[:, rows:])  # (H, R + EXTRA)
         self._i_norm = rows * device.g_max * device.v_read
-        # Hidden-layer evaluation strategy: "gemm" (default) reuses a
-        # float32 workspace across chunks; "legacy" is the original
-        # allocating path, kept as the benchmark baseline.  Both are
-        # bit-identical.
-        self.block_mode = "gemm"
 
     @property
     def cache_token(self) -> str:
@@ -221,11 +216,7 @@ class GENIEx:
     def poly_deviation(self, i_frac: np.ndarray, v_frac: np.ndarray) -> np.ndarray:
         """Polynomial-backbone deviation (normalized by i_norm)."""
         c = self.poly
-        if (
-            self.block_mode != "legacy"  # legacy reproduces the original path
-            and isinstance(i_frac, np.ndarray)
-            and isinstance(v_frac, np.ndarray)
-        ):
+        if isinstance(i_frac, np.ndarray) and isinstance(v_frac, np.ndarray):
             fused = _ckernels.poly_backbone(i_frac, v_frac, c)
             if fused is not None:  # bit-identical single-pass C kernel
                 return fused
@@ -245,18 +236,14 @@ class GENIEx:
         v_norm = v32 / np.float32(self.device.v_read)
         hv = row_stable_matmul(v_norm, self._w1v.T)  # (B, H)
         deviation = np.empty((hv.shape[0], handle.bias.shape[0]), dtype=np.float32)
-        if self.block_mode == "legacy":
-            self._deviation_blocks_legacy(hv, handle.bias, deviation, chunk)
-        else:
-            self._deviation_blocks(hv, handle.bias, deviation, chunk)
+        self._deviation_blocks(hv, handle.bias, deviation, chunk)
         v_frac = v_norm.mean(axis=1, keepdims=True)
-        if self.block_mode != "legacy":  # legacy reproduces the original path
-            fused = _ckernels.geniex_tail(
-                ideal, deviation, v_frac, self.poly,
-                self._i_norm, self.target_std, self.target_mean,
-            )
-            if fused is not None:  # bit-identical single-pass C kernel
-                return fused
+        fused = _ckernels.geniex_tail(
+            ideal, deviation, v_frac, self.poly,
+            self._i_norm, self.target_std, self.target_mean,
+        )
+        if fused is not None:  # bit-identical single-pass C kernel
+            return fused
         deviation = deviation * self.target_std + self.target_mean
         i_frac = (ideal / np.float32(self._i_norm)).astype(np.float32, copy=False)
         deviation = deviation + self.poly_deviation(i_frac, v_frac)
@@ -272,8 +259,8 @@ class GENIEx:
         across calls) instead of reallocated per chunk; the broadcast
         add, the ReLU and the output contraction all run in place, and
         the contraction writes straight into the caller's deviation
-        buffer.  The contraction keeps the stacked-matmul kernel of the
-        legacy path on purpose: a BLAS GEMV over the reshaped 2-D view
+        buffer.  The contraction stays a stacked ``(b, C, H) @ (H,)``
+        matmul on purpose: a BLAS GEMV over the reshaped 2-D view
         differs in the last bit for some shapes, and the numerical
         contract is exact equality.
         """
@@ -294,19 +281,6 @@ class GENIEx:
                 np.maximum(pre, 0.0, out=pre)
             np.matmul(pre, self.w2, out=out[start : start + b])
             out[start : start + b] += self.b2
-
-    def _deviation_blocks_legacy(
-        self, hv: np.ndarray, bias: np.ndarray, out: np.ndarray, chunk: int
-    ) -> None:
-        """Original allocating path, kept as the benchmark baseline."""
-        n_cols, hidden = bias.shape
-        # Bound the (block, cols, hidden) intermediate to ~64 MB.
-        step = max(1, min(hv.shape[0], chunk, (16 << 20) // max(1, n_cols * hidden)))
-        for start in range(0, hv.shape[0], step):
-            block = hv[start : start + step]  # (b, H)
-            pre = block[:, None, :] + bias[None, :, :]  # (b, C, H)
-            np.maximum(pre, 0.0, out=pre)
-            out[start : start + step] = pre @ self.w2 + self.b2
 
     def __getstate__(self) -> dict:
         """Pickle without scratch buffers.

@@ -42,9 +42,9 @@ class PerfCounters:
     matvec_rows:
         Total input vectors pushed through the engine.
     bank_evals:
-        Column-predictor invocations (one per tile-row bank in the
-        vectorized kernel; one per bank *and* stream in the reference
-        kernel).
+        Column-predictor invocations (one per tile-row bank and sign
+        pass: the kernels stack every active stream or plane of a bank
+        into a single call).
     streams_evaluated:
         (bank, bit-stream) pairs that carried a non-zero voltage
         pattern and were actually evaluated.

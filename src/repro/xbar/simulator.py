@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import copy
 import logging
-import os
 import time
 from dataclasses import dataclass
 from typing import Protocol
@@ -58,28 +57,9 @@ from repro.xbar.tiling import tile_matrix
 
 logger = logging.getLogger(__name__)
 
-#: Valid MVM kernel implementations (see :attr:`CrossbarEngine.kernel`).
-KERNEL_MODES = ("vectorized", "reference")
-
 #: Per-column gain clip bounds shared by every gain fit — guards
 #: against degenerate least-squares solutions on nearly-dead columns.
 GAIN_CLIP = (0.25, 4.0)
-
-
-def default_kernel() -> str:
-    """Process-default MVM kernel, overridable via ``REPRO_XBAR_KERNEL``.
-
-    ``vectorized`` (default) stacks all active bit-streams of a bank
-    into one predictor call; ``reference`` is the original per-stream
-    loop, kept as the golden numerical reference and the "before" side
-    of the hot-path benchmarks.  Both produce bit-identical outputs.
-    """
-    mode = os.environ.get("REPRO_XBAR_KERNEL", "vectorized")
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"REPRO_XBAR_KERNEL must be one of {KERNEL_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 class ColumnPredictor(Protocol):
@@ -222,7 +202,7 @@ class _TileRowBank:
     total_cols: int
     # Per-bank-column shift-and-add weight ``sign * 2**(slice_bits*s)``
     # (exact powers of two, so applying it vectorized is bit-identical
-    # to the reference kernel's per-chunk scalar multiplies).
+    # to the oracle's per-chunk scalar multiplies).
     col_weight: np.ndarray | None = None
     # Fault-free conductances for the same used columns, kept only when
     # the guard's digital fallback is enabled: ``voltages @ ideal_bias``
@@ -255,7 +235,6 @@ class CrossbarEngine:
         config: CrossbarConfig,
         predictor: ColumnPredictor,
         rng: np.random.Generator | None = None,
-        kernel: str | None = None,
     ):
         if weight.ndim != 2:
             raise ValueError(f"weight must be 2-D (out, in), got {weight.shape}")
@@ -266,8 +245,6 @@ class CrossbarEngine:
                 f"device levels_bits ({dev.levels_bits}) must equal "
                 f"bit-slice slice_bits ({bs.slice_bits})"
             )
-        if kernel is not None and kernel not in KERNEL_MODES:
-            raise ValueError(f"kernel must be one of {KERNEL_MODES}, got {kernel!r}")
         if config.quant.enabled and config.adc.bits is None:
             raise ValueError(
                 f"quantized inference (quant.mode={config.quant.mode!r}) requires "
@@ -278,11 +255,6 @@ class CrossbarEngine:
         self.predictor = predictor
         self.out_features, self.in_features = weight.shape
         self._rng = rng or np.random.default_rng(0)
-        # Explicit seam for the verification harness and benchmarks: a
-        # caller-chosen kernel wins over the process default.  Both
-        # kernels are bit-identical, so the choice never affects results
-        # (enforced by the golden tests and the repro.verify catalog).
-        self.kernel = kernel or default_kernel()
         self.perf = PerfCounters()
 
         matrix = np.asarray(weight, dtype=np.float64).T  # (in, out)
@@ -411,7 +383,7 @@ class CrossbarEngine:
         quantized mode — ``None`` until calibration sets it (see
         :meth:`set_input_scale`), during which matvec serves through
         the float path.  The remaining constants are pure functions of
-        the config, shared by both int kernels and the verify oracle.
+        the config.
         """
         qc = self.config.quant
         self.x_scale: float | None = None
@@ -797,149 +769,142 @@ class CrossbarEngine:
                 return out
         x_lsb = x_max / (bs.input_levels - 1)
         streams = self._stream_workspace().quantize_and_stream(x, x_lsb, bs)
-        if self.kernel == "reference":
-            self._accumulate_streams_reference(out, streams)
-        else:
-            self._accumulate_streams_vectorized(out, streams)
+        self._accumulate_streams(out, streams)
         return out * (x_lsb * self.w_scale)
 
-    def _accumulate_streams_reference(
-        self, out: np.ndarray, streams: list[np.ndarray]
-    ) -> None:
-        """Original per-(bank, stream) kernel, kept as the golden reference."""
-        bs = self.config.bitslice
-        dev = self.config.device
-        n = out.shape[0]
+    def _predict_packed(
+        self, bank: _TileRowBank, planes: list[np.ndarray], v_step: float, kind: str
+    ):
+        """Evaluate every non-zero plane of ``bank`` in one predictor call.
+
+        The front half shared by both kernels (``planes`` are the float
+        path's bit-streams or the integer path's pulse planes; ``kind``
+        names their perf counters).  All non-zero planes stack along the
+        batch axis into one ``(rows_kept, rows)`` voltage matrix.  Every
+        backend computes output rows independently (its batch matmuls
+        route through :func:`repro.xbar.numerics.row_stable_matmul` —
+        plain BLAS GEMM is *not* row-stable), so stacking never changes
+        a row's bits.
+
+        All-zero *rows* within an evaluated plane are compacted away
+        before the call: a zero voltage row yields the same currents
+        wherever it appears, so those rows read a once-per-bank zero-row
+        evaluation instead of being recomputed.  Post-ReLU activations
+        make the high-significance planes mostly zero, so this routinely
+        removes the bulk of the predictor work.
+
+        Returns ``None`` when no plane drives this bank, else ``(active,
+        volts, packed, zero_row)``: ``active[k]`` is (plane index, kept
+        row indices or ``None`` for all rows, first packed row, packed
+        row count), ``volts`` the packed voltages, ``packed`` their
+        currents and ``zero_row`` the bank's zero-voltage currents when
+        rows were compacted (``None`` otherwise).
+        """
+        n = planes[0].shape[0]
         rows = self.config.rows
-        v_step = dev.v_read / (bs.stream_levels - 1)
+        width = bank.row_slice.stop - bank.row_slice.start
         perf = self.perf
-        for bank in self.banks:
-            width = bank.row_slice.stop - bank.row_slice.start
-            for t, stream in enumerate(streams):
-                seg = stream[:, bank.row_slice]
-                if not seg.any():
-                    perf.streams_skipped += 1
-                    continue  # all-zero stream contributes nothing
-                voltages = np.zeros((n, rows))
-                voltages[:, :width] = seg * v_step
-                start = time.perf_counter()
-                with _span("bank"):
-                    currents = self.predictor.predict_from_bias(voltages, bank.handle)
-                perf.predictor_seconds += time.perf_counter() - start
-                perf.bank_evals += 1
-                perf.streams_evaluated += 1
-                self._observe_adc(currents)
-                fallback_cols = self._check_tile_health(currents, bank)
-                currents = quantize_current(currents, self.config.adc, self._adc_full_scale)
-                if fallback_cols is not None:
-                    # Graceful degradation: recompute the sick tiles'
-                    # columns through the ideal digital path (exact
-                    # partial products, no ADC) instead of letting
-                    # NaN/Inf poison the whole forward pass.
-                    currents[:, fallback_cols] = (
-                        voltages @ bank.ideal_bias[:, fallback_cols]
-                    )
-                # Remove the G_min offset (dummy-column subtraction) and
-                # rescale currents back to integer dot products.
-                v_sum = voltages.sum(axis=1, keepdims=True)
-                dots = (currents - dev.g_min * v_sum) / (dev.g_step * v_step)
-                if self.dac_range is not None:
-                    # Serving mode: rows driving no voltage on this
-                    # stream contribute exactly nothing, as they would
-                    # had they arrived alone (their singleton batch
-                    # skips the stream outright).  Without this, the
-                    # predictor's dark current at zero bias makes a
-                    # row's result depend on its batch-mates.
-                    dead = ~seg.any(axis=1)
-                    if dead.any():
-                        dots[dead] = 0.0
-                stream_scale = float(2.0 ** (bs.stream_bits * t))
-                for chunk in bank.chunks:
-                    significance = float(2.0 ** (bs.slice_bits * chunk.slice_index))
-                    out[:, chunk.col_slice] += (chunk.sign * significance * stream_scale) * dots[
-                        :, chunk.offset : chunk.offset + chunk.width
-                    ]
+        segs: list[tuple[int, np.ndarray | None, np.ndarray]] = []
+        for t, plane in enumerate(planes):
+            seg = plane[:, bank.row_slice]
+            nz = seg.any(axis=1)
+            nnz = int(np.count_nonzero(nz))
+            if nnz == n:
+                segs.append((t, None, seg))
+            elif nnz:
+                segs.append((t, np.flatnonzero(nz), seg[nz]))
+        skipped = f"{kind}_skipped"
+        setattr(perf, skipped, getattr(perf, skipped) + len(planes) - len(segs))
+        if not segs:
+            return None
+        packed_rows = sum(seg.shape[0] for _t, _idx, seg in segs)
+        perf.rows_compacted += len(segs) * n - packed_rows
+        volts = self._voltage_workspace(packed_rows, rows)
+        if width < rows:
+            volts[:, width:] = 0.0  # padding rows drive no voltage
+        active: list[tuple[int, np.ndarray | None, int, int]] = []
+        pos = 0
+        for t, idx, seg in segs:
+            cnt = seg.shape[0]
+            np.multiply(seg, v_step, out=volts[pos : pos + cnt, :width])
+            active.append((t, idx, pos, cnt))
+            pos += cnt
+        start = time.perf_counter()
+        with _span("bank"):
+            packed = self.predictor.predict_from_bias(volts, bank.handle)
+        perf.predictor_seconds += time.perf_counter() - start
+        perf.bank_evals += 1
+        evaluated = f"{kind}_evaluated"
+        setattr(perf, evaluated, getattr(perf, evaluated) + len(active))
+        self._observe_adc(packed)
+        compacted = packed_rows != len(active) * n
+        zero_row = self._zero_row_currents(bank) if compacted else None
+        return active, volts, packed, zero_row
 
-    def _accumulate_streams_vectorized(
-        self, out: np.ndarray, streams: list[np.ndarray]
-    ) -> None:
-        """Stacked-stream kernel: one predictor call per tile-row bank.
+    @staticmethod
+    def _unpack(packed: np.ndarray, fill, active: list, n: int) -> np.ndarray:
+        """Expand packed rows back to dense per-plane blocks of ``n`` rows.
 
-        All non-zero bit-streams of a bank are stacked along the batch
-        axis into a single ``(T_active * N, rows)`` voltage matrix and
-        evaluated in one ``predict_from_bias`` call.  Every backend
-        computes output rows independently (guaranteed by routing batch
-        matmuls through :func:`repro.xbar.numerics.row_stable_matmul` —
-        plain BLAS GEMM is *not* row-stable), the per-element transforms
-        (ADC quantization, dummy-column subtraction) apply identically
-        to the stacked matrix, and the shift-and-add scalings are exact
-        powers of two — so the result is bit-identical to the reference
-        kernel (enforced by the golden regression tests).
+        Block ``k`` holds plane ``active[k]``; rows compaction removed
+        read ``fill`` (the zero-row value of whatever ``packed`` holds),
+        bit-identical to evaluating them in place.
+        """
+        dense = np.empty((len(active) * n, packed.shape[1]), dtype=packed.dtype)
+        for k, (_t, idx, pos, cnt) in enumerate(active):
+            blk = dense[k * n : (k + 1) * n]
+            if idx is None:
+                blk[:] = packed[pos : pos + cnt]
+            else:
+                blk[:] = fill
+                blk[idx] = packed[pos : pos + cnt]
+        return dense
 
-        All-zero *rows* within an evaluated stream are compacted away
-        before the predictor call: a zero voltage row yields the same
-        currents wherever it appears (row independence again), so those
-        rows are filled from a once-per-bank zero-row evaluation instead
-        of being recomputed.  Post-ReLU activations make the high-
-        significance streams mostly zero, so this routinely removes the
-        bulk of the predictor work.
+    def _zero_dead_rows(self, block: np.ndarray, idx: np.ndarray | None) -> None:
+        """Serving mode: rows that drove no voltage contribute exactly zero.
+
+        ``block`` is one plane's per-row result and ``idx`` the rows
+        compaction kept (``None``: all).  With a pinned DAC range a row
+        must not depend on its batch-mates: alone, its singleton batch
+        would skip the plane outright, so it must not inherit the
+        predictor's zero-bias dark current whenever a batch-mate keeps
+        the plane alive.
+        """
+        if self.dac_range is None or idx is None:
+            return
+        keep = np.zeros(block.shape[0], dtype=bool)
+        keep[idx] = True
+        block[~keep] = 0
+
+    def _accumulate_streams(self, out: np.ndarray, streams: list[np.ndarray]) -> None:
+        """Float-path kernel: one predictor call per tile-row bank.
+
+        After :meth:`_predict_packed`, the per-element transforms (ADC
+        quantization, dummy-column subtraction) apply identically to
+        the stacked matrix and the shift-and-add scalings are exact
+        powers of two, so the result is bit-identical to the naive
+        per-(bank, stream) oracle of :mod:`repro.verify.oracle`.
         """
         bs = self.config.bitslice
         dev = self.config.device
         n = out.shape[0]
-        rows = self.config.rows
         v_step = dev.v_read / (bs.stream_levels - 1)
-        perf = self.perf
+        adc = self.config.adc
+        denom = dev.g_step * v_step
+        full_scale = adc.full_scale_fraction * self._adc_full_scale
+        lsb = full_scale / (2**adc.bits - 1) if adc.bits is not None else 1.0
+        guard = self.config.guard
+        if not guard.active:
+            check, sat_limit = 0, 0.0
+        elif guard.saturation_factor is None:
+            check, sat_limit = 1, 0.0
+        else:
+            check, sat_limit = 2, guard.saturation_factor * self._adc_full_scale
         for bank in self.banks:
-            width = bank.row_slice.stop - bank.row_slice.start
-            # (stream index, non-zero row indices or None for "all", packed segment)
-            active: list[tuple[int, np.ndarray | None, np.ndarray]] = []
-            for t, stream in enumerate(streams):
-                seg = stream[:, bank.row_slice]
-                nz = seg.any(axis=1)
-                nnz = int(np.count_nonzero(nz))
-                if nnz == 0:
-                    perf.streams_skipped += 1
-                elif nnz == n:
-                    active.append((t, None, seg))
-                else:
-                    active.append((t, np.flatnonzero(nz), seg[nz]))
-            if not active:
+            evaluated = self._predict_packed(bank, streams, v_step, "streams")
+            if evaluated is None:
                 continue
-            counts = [seg.shape[0] for _t, _idx, seg in active]
-            packed_rows = sum(counts)
-            full_rows = len(active) * n
-            perf.rows_compacted += full_rows - packed_rows
-            volts = self._voltage_workspace(packed_rows, rows)
-            if width < rows:
-                volts[:, width:] = 0.0  # padding rows drive no voltage
-            bounds: list[tuple[int, int]] = []
-            pos = 0
-            for (_t, _idx, seg), cnt in zip(active, counts):
-                np.multiply(seg, v_step, out=volts[pos : pos + cnt, :width])
-                bounds.append((pos, cnt))
-                pos += cnt
-            start = time.perf_counter()
-            with _span("bank"):
-                packed = self.predictor.predict_from_bias(volts, bank.handle)
-            perf.predictor_seconds += time.perf_counter() - start
-            perf.bank_evals += 1
-            perf.streams_evaluated += len(active)
-            self._observe_adc(packed)
+            active, volts, packed, zero_row = evaluated
             packed_v_sum = volts.sum(axis=1, keepdims=True)
-            compacted = packed_rows != full_rows
-            zero_row = self._zero_row_currents(bank) if compacted else None
-            adc = self.config.adc
-            denom = dev.g_step * v_step
-            full_scale = adc.full_scale_fraction * self._adc_full_scale
-            lsb = full_scale / (2**adc.bits - 1) if adc.bits is not None else 1.0
-            guard = self.config.guard
-            if not guard.active:
-                check, sat_limit = 0, 0.0
-            elif guard.saturation_factor is None:
-                check, sat_limit = 1, 0.0
-            else:
-                check, sat_limit = 2, guard.saturation_factor * self._adc_full_scale
             weighted = None
             # Fast path: ADC quantization, the G_min dummy-column
             # subtraction, dot recovery and the per-chunk significance
@@ -947,10 +912,10 @@ class CrossbarEngine:
             # rows only; the same pass probes tile health on the raw
             # currents, and compacted-away zero rows reuse a single
             # weighted zero-row evaluation.  Bit-identical to the numpy
-            # chain below (enforced by the golden tests); anything sick
-            # — which requires injected faults — falls through to the
-            # reference guard path so trip counts and warn ordering
-            # stay exact, as does a missing compiler.
+            # chain below; anything sick — which requires injected
+            # faults — falls through to the per-stream guard chain so
+            # trip counts and warn ordering stay exact, as does a
+            # missing compiler.
             if check == 0 or zero_row is None or self._currents_healthy(zero_row):
                 res = _ckernels.dequant_dots(
                     packed, packed_v_sum, bank.col_weight,
@@ -960,7 +925,7 @@ class CrossbarEngine:
                 )
                 if res is not None and not res[1]:
                     weighted = res[0]
-            if weighted is not None and compacted:
+            if weighted is not None and zero_row is not None:
                 zres = _ckernels.dequant_dots(
                     zero_row.reshape(1, -1), np.zeros((1, 1)), bank.col_weight,
                     adc_bits=adc.bits, full_scale=full_scale, lsb=lsb,
@@ -969,47 +934,17 @@ class CrossbarEngine:
                 if zres is None:
                     weighted = None  # can't expand: take the numpy path
                 else:
-                    packed_weighted = weighted
-                    zero_weighted = zres[0]
-                    weighted = np.empty((full_rows, packed.shape[1]))
-                    for k, ((_t, idx, _seg), (pos, cnt)) in enumerate(
-                        zip(active, bounds)
-                    ):
-                        blk = weighted[k * n : (k + 1) * n]
-                        if idx is None:
-                            blk[:] = packed_weighted[pos : pos + cnt]
-                        else:
-                            blk[:] = zero_weighted[0]
-                            blk[idx] = packed_weighted[pos : pos + cnt]
+                    weighted = self._unpack(weighted, zres[0][0], active, n)
             if weighted is None:
-                # Expand back to full per-stream blocks.  Compacted-away
-                # rows take the bank's zero-voltage currents,
-                # bit-identical to evaluating them in place (verified by
-                # the golden tests).
-                if not compacted:
+                if zero_row is None:
                     currents = packed
                     v_sum = packed_v_sum
                 else:
-                    currents = np.empty(
-                        (full_rows, packed.shape[1]), dtype=packed.dtype
-                    )
-                    v_sum = np.zeros((full_rows, 1))
-                    for k, ((_t, idx, _seg), (pos, cnt)) in enumerate(
-                        zip(active, bounds)
-                    ):
-                        blk = currents[k * n : (k + 1) * n]
-                        if idx is None:
-                            blk[:] = packed[pos : pos + cnt]
-                            v_sum[k * n : (k + 1) * n] = packed_v_sum[pos : pos + cnt]
-                        else:
-                            blk[:] = zero_row
-                            blk[idx] = packed[pos : pos + cnt]
-                            v_sum[k * n : (k + 1) * n][idx] = packed_v_sum[
-                                pos : pos + cnt
-                            ]
+                    currents = self._unpack(packed, zero_row, active, n)
+                    v_sum = self._unpack(packed_v_sum, 0.0, active, n)
                 # Health checks run per stream slice so guard-trip
-                # counts and warn-once ordering match the reference
-                # kernel exactly.
+                # counts and warn-once ordering match the oracle's
+                # per-(bank, stream) evaluation exactly.
                 fallbacks = [
                     self._check_tile_health(currents[k * n : (k + 1) * n], bank)
                     for k in range(len(active))
@@ -1018,15 +953,14 @@ class CrossbarEngine:
                 for k, mask in enumerate(fallbacks):
                     if mask is not None:
                         blk = slice(k * n, (k + 1) * n)
-                        idx = active[k][1]
-                        pos, cnt = bounds[k]
+                        _t, idx, pos, cnt = active[k]
                         if idx is None:
                             stream_volts = volts[pos : pos + cnt]
                         else:
                             # Rebuild the full voltage block only for the
                             # rare fallback path; zero rows fall back to
                             # exact zeros.
-                            stream_volts = np.zeros((n, rows))
+                            stream_volts = np.zeros((n, self.config.rows))
                             stream_volts[idx] = volts[pos : pos + cnt]
                         currents[blk][:, mask] = stream_volts @ bank.ideal_bias[:, mask]
                 # Remove the G_min offset (dummy-column subtraction) and
@@ -1036,24 +970,12 @@ class CrossbarEngine:
                 # Fold each chunk's ``sign * 2**(slice_bits * s)`` into
                 # one vectorized multiply; it and the stream scale are
                 # exact powers of two, so the factored product matches
-                # the reference kernel's fused scalar multiply bit for
-                # bit.
+                # the oracle's fused scalar multiply bit for bit.
                 weighted = dots * bank.col_weight
-            if self.dac_range is not None and compacted:
-                # Serving mode: compacted-away zero rows contribute
-                # exactly nothing (their singleton batch would have
-                # skipped the stream), instead of the bank's zero-bias
-                # dark current — see _accumulate_streams_reference.
-                for k, (_t, idx, _seg) in enumerate(active):
-                    if idx is None:
-                        continue
-                    blk = weighted[k * n : (k + 1) * n]
-                    keep = np.zeros(n, dtype=bool)
-                    keep[idx] = True
-                    blk[~keep] = 0.0
-            for k, (t, _idx, _seg) in enumerate(active):
+            for k, (t, idx, _pos, _cnt) in enumerate(active):
                 stream_scale = float(2.0 ** (bs.stream_bits * t))
                 blk = weighted[k * n : (k + 1) * n]
+                self._zero_dead_rows(blk, idx)
                 for chunk in bank.chunks:
                     src = blk[:, chunk.offset : chunk.offset + chunk.width]
                     dst = out[:, chunk.col_slice]
@@ -1079,8 +1001,8 @@ class CrossbarEngine:
         Guard fallbacks accumulate separately in ``B`` as exact integer
         ideal dot products (``plane_seg @ int_levels``), dequantized by
         the plain ``x_scale * w_scale`` product.  Integer accumulation
-        is order-exact, so both kernels and any worker sharding agree
-        bit for bit.
+        is order-exact, so the kernel, the oracle and any worker
+        sharding agree bit for bit.
         """
         qc = self.config.quant
         n = x.shape[0]
@@ -1098,10 +1020,7 @@ class CrossbarEngine:
             if not mags.any():
                 continue
             planes = ws.planes(mags, qc)
-            if self.kernel == "reference":
-                B = self._accumulate_planes_reference(A, B, planes, sign)
-            else:
-                B = self._accumulate_planes_vectorized(A, B, planes, sign)
+            B = self._accumulate_planes(A, B, planes, sign)
         # Headroom telemetry: the engine's int64 accumulator is exact,
         # but a 32-bit hardware shift-and-add register would have
         # saturated on this batch.
@@ -1113,166 +1032,59 @@ class CrossbarEngine:
             out += B * k_dot
         return out
 
-    def _accumulate_planes_reference(
+    def _accumulate_planes(
         self,
         A: np.ndarray,
         B: np.ndarray | None,
         planes: list[np.ndarray],
         sign: int,
     ) -> np.ndarray | None:
-        """Per-(bank, plane) integer kernel — the quantized golden reference."""
-        n = A.shape[0]
-        rows = self.config.rows
-        v_step = self._quant_v_step
-        perf = self.perf
-        for bank in self.banks:
-            width = bank.row_slice.stop - bank.row_slice.start
-            for t, plane in enumerate(planes):
-                seg = plane[:, bank.row_slice]
-                if not seg.any():
-                    perf.planes_skipped += 1
-                    continue  # all-zero plane contributes nothing
-                voltages = np.zeros((n, rows))
-                voltages[:, :width] = seg * v_step
-                start = time.perf_counter()
-                with _span("bank"):
-                    currents = self.predictor.predict_from_bias(voltages, bank.handle)
-                perf.predictor_seconds += time.perf_counter() - start
-                perf.bank_evals += 1
-                perf.planes_evaluated += 1
-                self._observe_adc(currents)
-                fallback_cols = self._check_tile_health(currents, bank)
-                codes = self._adc_int_codes(currents)
-                if self.dac_range is not None:
-                    # Serving mode: zero-pulse rows contribute no codes
-                    # (their singleton batch skips the plane), so the
-                    # differential accumulation cancels to exactly 0
-                    # for them regardless of batch-mates.
-                    dead = ~seg.any(axis=1)
-                    if dead.any():
-                        codes[dead] = 0
-                B = self._int_accumulate_chunks(
-                    A, B, codes, bank, seg, sign, t,
-                    self._fallback_groups(bank, fallback_cols),
-                )
-        return B
+        """Integer kernel: one predictor call per bank.
 
-    def _accumulate_planes_vectorized(
-        self,
-        A: np.ndarray,
-        B: np.ndarray | None,
-        planes: list[np.ndarray],
-        sign: int,
-    ) -> np.ndarray | None:
-        """Stacked-plane integer kernel: one predictor call per bank.
-
-        Mirrors :meth:`_accumulate_streams_vectorized` — all non-zero
-        pulse planes of a bank stack into one predictor call, all-zero
-        rows compact away against the cached zero-row evaluation — but
-        the post-predictor chain is integer: one ADC-code pass over the
-        packed rows, then exact shift-and-add.  Anything unhealthy
-        (requires injected faults) falls through to the reference guard
-        chain so trip counts and warn ordering stay exact.
+        After :meth:`_predict_packed` the chain is integer: one ADC-code
+        pass over the packed rows, then exact shift-and-add.  Anything
+        unhealthy (requires injected faults) expands back to dense
+        per-plane blocks and runs the guard chain plane by plane, so
+        trip counts and warn ordering match the oracle exactly.
         """
         n = A.shape[0]
-        rows = self.config.rows
-        v_step = self._quant_v_step
-        perf = self.perf
+        guard = self.config.guard
         for bank in self.banks:
-            width = bank.row_slice.stop - bank.row_slice.start
-            # (plane index, non-zero row indices or None for "all", packed segment)
-            active: list[tuple[int, np.ndarray | None, np.ndarray]] = []
-            for t, plane in enumerate(planes):
-                seg = plane[:, bank.row_slice]
-                nz = seg.any(axis=1)
-                nnz = int(np.count_nonzero(nz))
-                if nnz == 0:
-                    perf.planes_skipped += 1
-                elif nnz == n:
-                    active.append((t, None, seg))
-                else:
-                    active.append((t, np.flatnonzero(nz), seg[nz]))
-            if not active:
+            evaluated = self._predict_packed(bank, planes, self._quant_v_step, "planes")
+            if evaluated is None:
                 continue
-            counts = [seg.shape[0] for _t, _idx, seg in active]
-            packed_rows = sum(counts)
-            full_rows = len(active) * n
-            perf.rows_compacted += full_rows - packed_rows
-            volts = self._voltage_workspace(packed_rows, rows)
-            if width < rows:
-                volts[:, width:] = 0.0  # padding rows drive no voltage
-            bounds: list[tuple[int, int]] = []
-            pos = 0
-            for (_t, _idx, seg), cnt in zip(active, counts):
-                np.multiply(seg, v_step, out=volts[pos : pos + cnt, :width])
-                bounds.append((pos, cnt))
-                pos += cnt
-            start = time.perf_counter()
-            with _span("bank"):
-                packed = self.predictor.predict_from_bias(volts, bank.handle)
-            perf.predictor_seconds += time.perf_counter() - start
-            perf.bank_evals += 1
-            perf.planes_evaluated += len(active)
-            self._observe_adc(packed)
-            compacted = packed_rows != full_rows
-            zero_row = self._zero_row_currents(bank) if compacted else None
-            guard = self.config.guard
-            use_fast = not guard.active or (
+            active, _volts, packed, zero_row = evaluated
+            cols = bank.total_cols
+            if not guard.active or (
                 self._currents_healthy(packed)
                 and (zero_row is None or self._currents_healthy(zero_row))
-            )
-            cols = bank.total_cols
-            if use_fast:
-                pk = self._int_workspace("_packed_codes_buf", packed_rows, cols)
+            ):
+                pk = self._int_workspace("_packed_codes_buf", packed.shape[0], cols)
                 self._adc_int_codes(packed, out=pk)
-                for (t, idx, _seg), (p0, cnt) in zip(active, bounds):
-                    if idx is None:
-                        codes_blk = pk[p0 : p0 + cnt]
-                    else:
+                for t, idx, pos, cnt in active:
+                    codes_blk = pk[pos : pos + cnt]
+                    if idx is not None:
                         # Compacted-away zero rows read the cached ADC
                         # codes of the zero-voltage evaluation —
                         # bit-identical to evaluating them in place.
-                        # Serving mode instead zeroes their codes so
-                        # their accumulated contribution is exactly the
-                        # skipped-plane result of a singleton batch.
                         exp = self._int_workspace("_expand_codes_buf", n, cols)
-                        if self.dac_range is not None:
-                            exp[:] = 0
-                        else:
-                            exp[:] = self._zero_int_codes(bank)
-                        exp[idx] = pk[p0 : p0 + cnt]
+                        exp[:] = self._zero_int_codes(bank)
+                        exp[idx] = codes_blk
+                        self._zero_dead_rows(exp, idx)
                         codes_blk = exp
                     B = self._int_accumulate_chunks(
                         A, B, codes_blk, bank, None, sign, t, None
                     )
             else:
-                # Guard engaged: expand back to dense per-plane current
-                # blocks and run the reference guard chain so trip
-                # counts and warn-once ordering match it exactly.
-                if not compacted:
-                    currents = packed
-                else:
-                    currents = np.empty(
-                        (full_rows, packed.shape[1]), dtype=packed.dtype
-                    )
-                    for k, ((_t, idx, _seg), (p0, cnt)) in enumerate(
-                        zip(active, bounds)
-                    ):
-                        blk = currents[k * n : (k + 1) * n]
-                        if idx is None:
-                            blk[:] = packed[p0 : p0 + cnt]
-                        else:
-                            blk[:] = zero_row
-                            blk[idx] = packed[p0 : p0 + cnt]
-                for k, (t, idx, _seg) in enumerate(active):
+                currents = (
+                    packed if zero_row is None
+                    else self._unpack(packed, zero_row, active, n)
+                )
+                for k, (t, idx, _pos, _cnt) in enumerate(active):
                     blk = currents[k * n : (k + 1) * n]
                     fallback_cols = self._check_tile_health(blk, bank)
                     codes = self._adc_int_codes(blk)
-                    if self.dac_range is not None and idx is not None:
-                        # Serving mode: see the reference kernel above.
-                        keep = np.zeros(n, dtype=bool)
-                        keep[idx] = True
-                        codes[~keep] = 0
+                    self._zero_dead_rows(codes, idx)
                     B = self._int_accumulate_chunks(
                         A, B, codes, bank, planes[t][:, bank.row_slice], sign, t,
                         self._fallback_groups(bank, fallback_cols),
@@ -1384,7 +1196,7 @@ class CrossbarEngine:
         return bank.zero_codes
 
     def _int_workspace(self, name: str, m: int, cols: int) -> np.ndarray:
-        """Reusable int32 code buffer for the vectorized integer kernel."""
+        """Reusable int32 code buffer for the integer kernel."""
         buf = getattr(self, name, None)
         if buf is None or buf.shape[0] < m or buf.shape[1] != cols:
             buf = np.empty((m, cols), dtype=np.int32)
@@ -1427,7 +1239,7 @@ class CrossbarEngine:
             probe[1] += currents.size
 
     def _voltage_workspace(self, m: int, rows: int) -> np.ndarray:
-        """Reusable float64 voltage buffer for the vectorized kernel."""
+        """Reusable float64 voltage buffer for the packed bank evaluation."""
         buf = getattr(self, "_volt_buf", None)
         if buf is None or buf.shape[0] < m or buf.shape[1] != rows:
             buf = np.empty((m, rows), dtype=np.float64)
@@ -1458,13 +1270,13 @@ class CrossbarEngine:
         return self._guard_trips
 
     def _currents_healthy(self, currents: np.ndarray) -> bool:
-        """Cheap all-clear probe for the vectorized fast path.
+        """Cheap all-clear probe for the kernels' fast paths.
 
         True iff :meth:`_check_tile_health` would return ``None``
         without tripping the guard for every stream block drawn from
         ``currents`` — finite everywhere and under the saturation
-        limit.  Anything sick routes the bank through the reference
-        chain so trip counts and warn ordering stay exact.
+        limit.  Anything sick routes the bank through the per-plane
+        guard chain so trip counts and warn ordering stay exact.
         """
         if not np.isfinite(currents).all():
             return False
@@ -1540,11 +1352,10 @@ def build_engine(
     config: CrossbarConfig,
     predictor: ColumnPredictor | None = None,
     rng: np.random.Generator | None = None,
-    kernel: str | None = None,
 ) -> CrossbarEngine:
     """Convenience constructor defaulting to the cached GENIEx backend."""
     predictor = predictor or load_or_train_geniex(config)
-    return CrossbarEngine(weight, config, predictor, rng, kernel=kernel)
+    return CrossbarEngine(weight, config, predictor, rng)
 
 
 class NonIdealLinear(Module):
@@ -2029,7 +1840,6 @@ def restore_engine(
     engine.in_features = int(meta["in_features"])
     engine.w_scale = float(meta["w_scale"])
     engine._rng = np.random.default_rng(0)
-    engine.kernel = default_kernel()
     engine.perf = PerfCounters()
     engine.fault_summary = FaultSummary(**meta["fault_summary"])
     engine._guard_trips = 0

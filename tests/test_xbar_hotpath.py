@@ -1,27 +1,20 @@
 """Golden regression for the analog hot path.
 
-The vectorized stacked-stream kernel must be *bit-identical* (exact
-float equality) to the reference per-stream kernel for every Table-I
-preset, every predictor backend, with and without guard fallback and
-fault injection — that is the numerical contract of the hot-path
-optimization.  Likewise the GENIEx blocked-GEMM evaluation must match
-its legacy allocating path bit for bit.
+The production MVM kernel must be *bit-identical* (exact float
+equality) to the naive oracle of :mod:`repro.verify.oracle` for every
+Table-I preset, every predictor backend, with and without guard
+fallback and fault injection — that is the numerical contract of the
+hot-path optimizations (stream stacking, zero-row compaction, the
+compiled kernels and the blocked GENIEx evaluation).
 """
-
-import os
 
 import numpy as np
 import pytest
 
+from repro.verify.invariants import check_kernels_match_oracle
 from repro.xbar.faults import FaultConfig, GuardConfig, with_faults, with_guard
 from repro.xbar.presets import crossbar_preset, load_or_train_geniex, preset_names
-from repro.xbar.simulator import (
-    KERNEL_MODES,
-    CircuitPredictor,
-    CrossbarEngine,
-    IdealPredictor,
-    default_kernel,
-)
+from repro.xbar.simulator import CircuitPredictor, CrossbarEngine, IdealPredictor
 
 from tests.conftest import make_tiny_crossbar_config
 
@@ -40,32 +33,10 @@ def _weight_and_inputs(config, seed=0, out_features=10, batch=4, signed=True):
     return weight, x
 
 
-def _engine(weight, config, predictor, kernel, seed=11):
-    """Build one engine whose *entire* life (including the construction-
-    time gain calibration) runs under the requested kernel."""
-    previous = os.environ.get("REPRO_XBAR_KERNEL")
-    os.environ["REPRO_XBAR_KERNEL"] = kernel
-    try:
-        return CrossbarEngine(weight, config, predictor, np.random.default_rng(seed))
-    finally:
-        if previous is None:
-            del os.environ["REPRO_XBAR_KERNEL"]
-        else:
-            os.environ["REPRO_XBAR_KERNEL"] = previous
-
-
-def _assert_kernels_bitwise_equal(weight, config, predictor, x):
-    ref = _engine(weight, config, predictor, "reference")
-    vec = _engine(weight, config, predictor, "vectorized")
-    assert ref.kernel == "reference" and vec.kernel == "vectorized"
-    # Gains were calibrated through the respective kernels at build time.
-    assert np.array_equal(ref.gain, vec.gain)
-    out_ref = ref.matvec(x)
-    out_vec = vec.matvec(x)
-    assert np.array_equal(out_ref, out_vec), (
-        f"kernels diverge: max |delta| = {np.abs(out_ref - out_vec).max()}"
-    )
-    return ref, vec
+def _assert_matches_oracle(weight, config, predictor, x):
+    """Engine and oracle (same programming seed) agree to 0 ULP, including
+    the build-time gain calibration, guard trips and fault map."""
+    return check_kernels_match_oracle(weight, config, predictor, x, seed=11)
 
 
 class TestGoldenKernelEquality:
@@ -73,13 +44,13 @@ class TestGoldenKernelEquality:
     def test_geniex_bitwise(self, preset):
         config = crossbar_preset(preset)
         weight, x = _weight_and_inputs(config, signed=True)
-        _assert_kernels_bitwise_equal(weight, config, load_or_train_geniex(config), x)
+        _assert_matches_oracle(weight, config, load_or_train_geniex(config), x)
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_ideal_bitwise(self, preset):
         config = crossbar_preset(preset)
         weight, x = _weight_and_inputs(config, seed=1, signed=True)
-        _assert_kernels_bitwise_equal(weight, config, IdealPredictor(), x)
+        _assert_matches_oracle(weight, config, IdealPredictor(), x)
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_circuit_bitwise(self, preset):
@@ -88,7 +59,7 @@ class TestGoldenKernelEquality:
         # No probe calibration: circuit solves are the expensive part.
         config = dataclasses.replace(crossbar_preset(preset), gain_calibration=0)
         weight, x = _weight_and_inputs(config, seed=2, batch=2, signed=False)
-        _assert_kernels_bitwise_equal(weight, config, CircuitPredictor(config), x)
+        _assert_matches_oracle(weight, config, CircuitPredictor(config), x)
 
     @pytest.mark.parametrize("guard_mode", ["off", "fallback"])
     @pytest.mark.parametrize("preset", PRESETS)
@@ -96,7 +67,8 @@ class TestGoldenKernelEquality:
         """Guard off and a force-tripped fallback must both be exact.
 
         ``saturation_factor=1e-9`` trips the guard on every evaluated
-        stream, so the fallback substitution path itself is compared.
+        stream, so the fallback substitution path itself is compared,
+        and the engine's trip count must equal the oracle's.
         """
         guard = GuardConfig(
             mode=guard_mode,
@@ -104,15 +76,14 @@ class TestGoldenKernelEquality:
         )
         config = with_guard(crossbar_preset(preset), guard)
         weight, x = _weight_and_inputs(config, seed=3, signed=True)
-        ref, vec = _assert_kernels_bitwise_equal(
+        engine = _assert_matches_oracle(
             weight, config, load_or_train_geniex(crossbar_preset(preset)), x
         )
-        assert ref.guard_trips == vec.guard_trips
         if guard_mode == "fallback":
-            assert vec.guard_trips > 0  # the fallback path really ran
+            assert engine.guard_trips > 0  # the fallback path really ran
 
     def test_faults_bitwise(self):
-        """Stuck cells, drift and dead lines keep the kernels in lockstep."""
+        """Stuck cells, drift and dead lines keep engine and oracle in lockstep."""
         faults = FaultConfig(
             stuck_at_gmin_rate=0.05,
             stuck_at_gmax_rate=0.02,
@@ -124,27 +95,11 @@ class TestGoldenKernelEquality:
         config = with_faults(crossbar_preset("32x32_100k"), faults)
         weight, x = _weight_and_inputs(config, seed=4, signed=True)
         predictor = load_or_train_geniex(crossbar_preset("32x32_100k"))
-        ref, vec = _assert_kernels_bitwise_equal(weight, config, predictor, x)
-        assert ref.fault_summary == vec.fault_summary
-        assert vec.fault_summary.stuck_gmin + vec.fault_summary.stuck_gmax > 0
+        engine = _assert_matches_oracle(weight, config, predictor, x)
+        assert engine.fault_summary.stuck_gmin + engine.fault_summary.stuck_gmax > 0
 
 
 class TestGENIExBlockModes:
-    @pytest.mark.parametrize("preset", PRESETS)
-    def test_gemm_matches_legacy_bitwise(self, preset):
-        config = crossbar_preset(preset)
-        geniex = load_or_train_geniex(config)
-        weight, x = _weight_and_inputs(config, seed=5, signed=True)
-        engine = CrossbarEngine(weight, config, geniex, np.random.default_rng(11))
-        assert geniex.block_mode == "gemm"
-        out_gemm = engine.matvec(x)
-        geniex.block_mode = "legacy"
-        try:
-            out_legacy = engine.matvec(x)
-        finally:
-            geniex.block_mode = "gemm"
-        assert np.array_equal(out_gemm, out_legacy)
-
     def test_small_chunks_bitwise(self, tiny_geniex, rng):
         """Forcing many tiny blocks must not change a single bit."""
         config = make_tiny_crossbar_config()
@@ -179,26 +134,6 @@ class TestPredictorChunkContract:
         assert np.array_equal(full, blocked)
 
 
-class TestKernelSelection:
-    def test_env_override(self, monkeypatch, rng):
-        monkeypatch.setenv("REPRO_XBAR_KERNEL", "reference")
-        assert default_kernel() == "reference"
-        config = make_tiny_crossbar_config(gain_calibration=0)
-        weight = rng.normal(size=(3, 8)).astype(np.float32)
-        engine = CrossbarEngine(weight, config, IdealPredictor())
-        assert engine.kernel == "reference"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_XBAR_KERNEL", "warp-speed")
-        with pytest.raises(ValueError, match="REPRO_XBAR_KERNEL"):
-            default_kernel()
-
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_XBAR_KERNEL", raising=False)
-        assert default_kernel() == "vectorized"
-        assert set(KERNEL_MODES) == {"vectorized", "reference"}
-
-
 class TestCompiledKernels:
     """The optional C kernels must be bit-identical to their numpy
     equivalents and transparently optional."""
@@ -209,7 +144,7 @@ class TestCompiledKernels:
         config = crossbar_preset("32x32_100k")
         geniex = load_or_train_geniex(config)
         weight, x = _weight_and_inputs(config, seed=6, signed=True)
-        engine = _engine(weight, config, geniex, "vectorized")
+        engine = CrossbarEngine(weight, config, geniex, np.random.default_rng(11))
         out_fast = engine.matvec(x)
         monkeypatch.setattr(_ckernels, "available", lambda: False)
         out_numpy = engine.matvec(x)
@@ -323,35 +258,36 @@ class TestPerfCounters:
 
 
 class TestLargeBatchCompaction:
-    """Regression: GENIEx stacked/compacted evaluation vs. the reference.
+    """Regression: GENIEx stacked/compacted evaluation vs. the oracle.
 
     With enough stacked rows the predictor's BLAS matmuls used to switch
-    micro-kernels, so the vectorized kernel (one big packed batch plus a
-    cached zero-row substitute) drifted from the reference kernel (one
-    ``(n, rows)`` call per stream) by ~1e6 ULP after dequantization.
-    Surfaced by the differential oracle harness; fixed by making the
-    predictor matmuls row-stable (see repro.xbar.numerics).
+    micro-kernels, so the stacked kernel (one big packed batch plus a
+    cached zero-row substitute) drifted from a per-stream evaluation
+    (one ``(n, rows)`` call per stream, as the oracle makes) by ~1e6 ULP
+    after dequantization.  Surfaced by the differential oracle harness;
+    fixed by making the predictor matmuls row-stable (see
+    repro.xbar.numerics).
     """
 
     def test_geniex_bitwise_single_row(self, tiny_geniex):
-        """n=1 is the smallest reproduction: the reference kernel's
-        per-stream single-row predictor calls take BLAS's gemv dispatch
-        while the stacked kernel's two-row batch takes gemm."""
+        """n=1 is the smallest reproduction: the oracle's per-stream
+        single-row predictor calls take BLAS's gemv dispatch while the
+        stacked kernel's two-row batch takes gemm."""
         rng = np.random.default_rng(0)
         weight = rng.normal(size=(7, 10)).astype(np.float32)
         x = rng.random((1, 10))
         config = make_tiny_crossbar_config(adc_bits=None, gain_calibration=8)
-        _assert_kernels_bitwise_equal(weight, config, tiny_geniex, x)
+        _assert_matches_oracle(weight, config, tiny_geniex, x)
 
     def test_geniex_bitwise_across_kernels(self, tiny_geniex):
         config = make_tiny_crossbar_config(adc_bits=None, gain_calibration=8)
         weight, x = _weight_and_inputs(config, seed=3, batch=10)
         x[4] = 0.0  # exercise zero-row compaction and the cached currents
         x[6, : config.rows] = 0.0
-        _assert_kernels_bitwise_equal(weight, config, tiny_geniex, x)
+        _assert_matches_oracle(weight, config, tiny_geniex, x)
 
     def test_geniex_bitwise_with_adc(self, tiny_geniex):
         config = make_tiny_crossbar_config(adc_bits=6, gain_calibration=8)
         weight, x = _weight_and_inputs(config, seed=4, batch=12)
         x[0] = 0.0
-        _assert_kernels_bitwise_equal(weight, config, tiny_geniex, x)
+        _assert_matches_oracle(weight, config, tiny_geniex, x)
