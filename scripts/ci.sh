@@ -133,10 +133,6 @@ grep -q "serve shutdown: drained" artifacts/runs/ci-serve-live-stdout.txt \
     || { echo "ci: live serve did not drain on SIGTERM"; exit 1; }
 
 echo
-echo "=== bench smoke: drift-counter overhead (tiny profile) ==="
-REPRO_BENCH_PROFILE=tiny python scripts/bench_drift.py
-
-echo
 echo "=== bench smoke: parallel backend (tiny profile) ==="
 REPRO_BENCH_PROFILE=tiny python scripts/bench_parallel.py
 

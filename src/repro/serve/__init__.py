@@ -11,12 +11,11 @@ unbounded latency.
 
 The correctness contract — the whole reason serving is testable — is
 **coalescing identity**: a request's logits are bit-identical no matter
-which micro-batch it rides in, including a batch of one.  Two engine
-mechanisms make that true (see :func:`pin_for_serving`): the input DAC
-range is pinned to a fixed full-scale reference instead of auto-ranging
-per batch, and zero-input rows contribute exactly nothing to evaluated
-streams/planes (request-local accounting) instead of picking up their
-batch-mates' zero-bias dark current.
+which micro-batch it rides in, including a batch of one.  Pinning the
+input DAC range to a fixed full-scale reference instead of auto-ranging
+it per batch makes that true (see :func:`pin_for_serving`): every other
+step of the MVM chain is already row-local, since an undriven row draws
+no current in any mode.
 """
 
 from repro.serve.batching import MicroBatch, MicroBatcher

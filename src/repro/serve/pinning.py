@@ -8,13 +8,11 @@ reference voltage; :func:`pin_for_serving` models exactly that by
 installing each engine's calibration-observed activation maximum as its
 static DAC full-scale range (:meth:`CrossbarEngine.set_dac_range`).
 
-Pinning also switches both MVM kernels to request-local stream/plane
-accounting: a row that drives no voltage on a stream contributes
-exactly nothing, instead of inheriting the predictor's zero-bias dark
-current whenever a batch-mate keeps the stream alive.  Together these
-make coalesced micro-batch logits bit-identical to per-request serial
-inference — the contract `repro.verify` and the serve test battery
-enforce.
+The rest of the MVM chain is row-local in every mode (a row that
+drives no voltage on a stream draws no current), so the pinned range
+alone makes coalesced micro-batch logits bit-identical to per-request
+serial inference — the contract `repro.verify` and the serve test
+battery enforce.
 """
 
 from __future__ import annotations

@@ -362,22 +362,31 @@ class OracleEngine:
     def set_dac_range(self, limit: float) -> None:
         """Pin the DAC range (mirrors the engine's serving-mode setter).
 
-        Pinned, every row quantizes against ``limit`` (inputs beyond it
-        clip), and a row that drives no voltage on a (bank, stream) or
-        (bank, plane) evaluation contributes exactly nothing to it — the
-        result it would get alone, where that evaluation is skipped.
+        Pinned, every row quantizes against ``limit``; inputs beyond it
+        clip.
         """
         limit = float(limit)
         if not limit > 0.0 or not np.isfinite(limit):
             raise ValueError(f"DAC range must be positive and finite, got {limit}")
         self.dac_range = limit
 
-    def _live_rows(self, seg: np.ndarray) -> list[int]:
-        """Rows that contribute to one evaluation (all unless pinned)."""
-        return [
-            i for i in range(seg.shape[0])
-            if self.dac_range is None or seg[i].any()
-        ]
+    def _evaluate(self, seg: np.ndarray, v_step: float, bank: _OracleBank):
+        """Voltages and column currents of one (bank, stream/plane) evaluation.
+
+        A row with no drive has no source, so it reads exactly 0 current
+        before the guard and the ADC, whatever the predictor returns for
+        V=0 (the GENIEx surrogate predicts a small "dark current").
+        """
+        n, width = seg.shape
+        voltages = np.zeros((n, self.config.rows), dtype=np.float64)
+        for i in range(n):
+            for j in range(width):
+                voltages[i, j] = float(seg[i, j]) * v_step
+        currents = self.predictor.predict_from_bias(voltages, bank.handle)
+        for i in range(n):
+            if not seg[i].any():
+                currents[i, :] = 0.0
+        return voltages, currents
 
     def _matvec_int(self, x: np.ndarray) -> np.ndarray:
         """Naive quantized-mode MVM: integer shift-and-add over ADC codes.
@@ -409,7 +418,6 @@ class OracleEngine:
             for j in range(x.shape[1]):
                 codes[i, j] = int(np.clip(np.rint(x[i, j] / scale), -half, half))
 
-        rows = self.config.rows
         v_step = dev.v_read / (qc.plane_levels - 1)
         full_scale = adc.full_scale_fraction * self._adc_full_scale
         lsb = full_scale / (2**adc.bits - 1)
@@ -430,13 +438,8 @@ class OracleEngine:
                     seg = plane[:, bank.row_start : bank.row_stop]
                     if not seg.any():
                         continue  # an all-zero plane drives no voltage
-                    voltages = np.zeros((n, rows), dtype=np.float64)
-                    for i in range(n):
-                        for j in range(width):
-                            voltages[i, j] = float(seg[i, j]) * v_step
-                    currents = self.predictor.predict_from_bias(voltages, bank.handle)
+                    _voltages, currents = self._evaluate(seg, v_step, bank)
                     fallback = self._guard_mask(currents, bank)
-                    live = self._live_rows(seg)
                     # Whole differential column groups fall back
                     # together (a lone pos/neg array would break the
                     # common-mode cancellation).
@@ -455,7 +458,7 @@ class OracleEngine:
                         )
                         if (chunk.col_start, chunk.col_stop) in marked:
                             any_fallback = True
-                            for i in live:
+                            for i in range(n):
                                 for k in range(chunk.width):
                                     dot = 0
                                     for j in range(width):
@@ -471,7 +474,7 @@ class OracleEngine:
                                         dot += int(seg[i, j]) * level
                                     B[i][chunk.col_start + k] += factor * dot
                         else:
-                            for i in live:
+                            for i in range(n):
                                 for k in range(chunk.width):
                                     current = currents[i, chunk.offset + k]
                                     if not np.isfinite(current):
@@ -513,19 +516,13 @@ class OracleEngine:
                 x_int[i, j] = int(np.clip(np.rint(value / x_lsb), 0, top))
         streams = naive_slice_lsb_first(x_int, bs.input_bits, bs.stream_bits)
 
-        rows = self.config.rows
         v_step = dev.v_read / (bs.stream_levels - 1)
         for bank in self.banks:
-            width = bank.row_stop - bank.row_start
             for t, stream in enumerate(streams):
                 seg = stream[:, bank.row_start : bank.row_stop]
                 if not seg.any():
                     continue  # an all-zero stream drives no voltage
-                voltages = np.zeros((n, rows), dtype=np.float64)
-                for i in range(n):
-                    for j in range(width):
-                        voltages[i, j] = float(seg[i, j]) * v_step
-                currents = self.predictor.predict_from_bias(voltages, bank.handle)
+                voltages, currents = self._evaluate(seg, v_step, bank)
                 fallback = self._guard_mask(currents, bank)
                 quantized = self._adc(currents)
                 if fallback is not None:
@@ -535,7 +532,7 @@ class OracleEngine:
                     # engine's substitution).
                     quantized[:, fallback] = voltages @ bank.ideal_bias[:, fallback]
                 stream_scale = float(2.0 ** (bs.stream_bits * t))
-                for i in self._live_rows(seg):
+                for i in range(n):
                     # Pairwise np.sum: the row-voltage reduction is part
                     # of the shared numerical contract (see module doc).
                     v_sum = float(voltages[i].sum())

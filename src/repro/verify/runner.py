@@ -15,7 +15,6 @@ fused path are held to the same oracle.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from pathlib import Path
 from typing import Callable, Iterator
@@ -105,6 +104,11 @@ def _catalog(
             ("ragged_6x4", tiny_config(rows=6, cols=4, adc_bits=6, r_on=300e3)),
         ]
 
+    # A 12-bit ADC resolves the GENIEx surrogate's V=0 response into
+    # nonzero codes, so int8 checks on it see any current an undriven
+    # row would wrongly draw (at 6 bits it rounds to code 0).
+    int8_fine_adc = with_quant(tiny_config(adc_bits=12), QuantConfig(mode="int8"))
+
     predictors: list[tuple[str, object]] = [("ideal", IdealPredictor())]
     if not quick:
         predictors.append(("circuit", CircuitPredictor(base)))
@@ -131,8 +135,14 @@ def _catalog(
             ),
         )
         yield (
-            f"metamorphic/{pname}/zero_row_padding",
+            f"metamorphic/{pname}/zero_drive",
             lambda p=predictor: inv.check_dense_vs_zero_row_batch(weight, config, p, x),
+        )
+        yield (
+            f"metamorphic/{pname}/zero_drive_int8",
+            lambda p=predictor: inv.check_dense_vs_zero_row_batch(
+                weight, int8_fine_adc, p, x
+            ),
         )
         yield (
             f"metamorphic/{pname}/pow2_scaling",
@@ -291,17 +301,8 @@ def _catalog(
     # Serving-mode invariants (repro.serve): the micro-batch coalescing
     # identity and its supporting engine contracts, on every backend the
     # serving layer can face (the circuit solver is skipped: slow, and
-    # the ideal/GENIEx pair covers both dark-current regimes).
-    single_stream = dataclasses.replace(
-        base,
-        bitslice=BitSliceConfig(
-            input_bits=4, stream_bits=4, weight_bits=4, slice_bits=2
-        ),
-    )
+    # it reads exactly 0 at V=0 like the ideal backend).
     int8_serve = with_quant(tiny_config(adc_bits=6), QuantConfig(mode="int8"))
-    # A 12-bit ADC resolves the surrogate's zero-bias dark current into
-    # nonzero codes, so the pinned int8 differential sees dead rows.
-    int8_fine_adc = with_quant(tiny_config(adc_bits=12), QuantConfig(mode="int8"))
     for pname, predictor in predictors:
         if pname == "circuit":
             continue
@@ -332,7 +333,7 @@ def _catalog(
         yield (
             f"differential/{pname}/serve_pin_vs_autorange",
             lambda p=predictor: inv.check_serve_pin_matches_autorange(
-                weight, single_stream, p, x, seed=seed
+                weight, base, p, x, seed=seed
             ),
         )
         yield (

@@ -124,18 +124,17 @@ int dequant_dots(const double *cur, const double *v_sum, const double *colw,
      * np.clip semantics: NaN propagates and -0.0 survives the lower
      * bound (clip tests x < lo, unlike np.maximum).
      *
-     * The same pass doubles as the tile-health probe: with check=1 the
-     * raw currents are tested for finiteness, with check=2 also
-     * against the saturation limit.  Returns nonzero when anything is
-     * sick — the caller then discards ``out`` and reruns the bank
-     * through the per-stream guard chain. */
+     * The same pass doubles as the tile-health probe: with check set,
+     * a raw current is sick when non-finite or above sat_limit.
+     * Returns nonzero when anything is sick — the caller then discards
+     * ``out`` and reruns the bank through the per-stream guard chain. */
     int sick = 0;
     for (long i = 0; i < n; ++i) {
         double gv = g_min * v_sum[i];
         long base = i * cols;
         for (long j = 0; j < cols; ++j) {
             double q = cur[base + j];
-            if (check && (!isfinite(q) || (check == 2 && fabs(q) > sat_limit)))
+            if (check && (!isfinite(q) || fabs(q) > sat_limit))
                 sick = 1;
             if (adc_on && q == q) {
                 double t = q < 0.0 ? 0.0 : q;
@@ -398,8 +397,7 @@ def dequant_dots(
     lsb: float,
     g_min: float,
     denom: float,
-    check: int = 0,
-    sat_limit: float = 0.0,
+    sat_limit: float | None = None,
 ) -> tuple[np.ndarray, bool] | None:
     """ADC quantization + dot recovery + column weighting in one pass.
 
@@ -411,8 +409,8 @@ def dequant_dots(
 
     with ``adc_bits is None`` skipping the quantization step, matching
     :func:`repro.xbar.adc.quantize_current`.  The same pass can probe
-    tile health on the raw currents: ``check=1`` flags non-finite
-    values, ``check=2`` additionally flags ``|I| > sat_limit``.
+    tile health on the raw currents: a ``sat_limit`` (``inf`` for none)
+    flags non-finite values and ``|I| > sat_limit``.
 
     Returns ``(weighted, sick)`` — the output is only valid when
     ``sick`` is False — or None to signal the caller to take the numpy
@@ -433,7 +431,8 @@ def dequant_dots(
     sick = _lib.dequant_dots(
         currents.ctypes.data, v_sum.ctypes.data, col_weight.ctypes.data,
         out.ctypes.data, n, cols, 0 if adc_bits is None else 1,
-        full_scale, lsb, g_min, denom, check, sat_limit,
+        full_scale, lsb, g_min, denom,
+        sat_limit is not None, 0.0 if sat_limit is None else sat_limit,
     )
     return out, bool(sick)
 

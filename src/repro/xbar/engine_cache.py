@@ -71,7 +71,9 @@ _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 #: ignored (and rebuilt), never misread.
 #: Format 2: drift-aware snapshots — entries carry the chip's temporal
 #: coordinates (drift epoch + pulse count) and pristine tile arrays.
-SNAPSHOT_FORMAT = 2
+#: Format 3: programming-time gains fitted with undriven rows reading
+#: zero current (GENIEx gains of format 2 include its V=0 response).
+SNAPSHOT_FORMAT = 3
 
 
 def resolve_disk_dir(override: "str | os.PathLike | None" = None) -> Path | None:

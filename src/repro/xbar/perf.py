@@ -53,8 +53,8 @@ class PerfCounters:
         all zero (nothing to drive).
     rows_compacted:
         Voltage rows removed from predictor calls because they were all
-        zero within an otherwise active stream (their currents come from
-        a cached once-per-bank zero-row evaluation instead).
+        zero within an otherwise active stream (undriven, they read
+        exactly zero current).
     predictor_seconds:
         Wall time spent inside ``predict_from_bias`` calls.
     int_matvec_calls:

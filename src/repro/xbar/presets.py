@@ -10,7 +10,7 @@ All three share one interconnect technology (same parasitics); they
 differ only in array size and ON resistance, exactly as in the paper.
 The parasitic values below were calibrated once against the circuit
 solver so the measured NF ordering and rough magnitudes match Table I
-(see ``benchmarks/bench_table1_nf.py`` for the regeneration).
+(see ``benchmarks/bench_01_table1_nf.py`` for the regeneration).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ logger = logging.getLogger(__name__)
 
 #: Shared interconnect/periphery technology for all Table-I models.
 #: Calibrated so the circuit-solver NF lands near Table I:
-#: measured 0.094 / 0.120 / 0.225 vs paper 0.07 / 0.14 / 0.26
+#: measured 0.090 / 0.118 / 0.223 vs paper 0.07 / 0.14 / 0.26
 #: (ordering and spread preserved; see EXPERIMENTS.md, Table 1).
 _SHARED_PARASITICS = {
     "r_source": 350.0,

@@ -209,15 +209,9 @@ class _TileRowBank:
     # reproduces the exact integer partial products after the dummy-
     # column subtraction, i.e. the ideal digital path for this bank.
     ideal_bias: np.ndarray | None = None
-    # Lazily cached predictor currents for an all-zero voltage row —
-    # what compacted-away zero rows read back.  Deterministic for a
+    # Lazily cached ideal per-cell weight levels recovered from
+    # ideal_bias for exact integer fallbacks.  Deterministic for a
     # programmed bank, so sharing it across pristine clones is safe.
-    zero_currents: np.ndarray | None = None
-    # Lazily cached integer companions for the quantized path (both
-    # deterministic for a programmed bank, like zero_currents): the
-    # ADC codes of the zero-voltage row, and the ideal per-cell weight
-    # levels recovered from ideal_bias for exact integer fallbacks.
-    zero_codes: np.ndarray | None = None
     int_levels: np.ndarray | None = None
 
 
@@ -628,9 +622,9 @@ class CrossbarEngine:
 
         Never mutates existing bank objects — pristine clones share the
         epoch-0 list, so a drifted state always materializes as *new*
-        banks (with fresh predictor handles and an empty zero-row
-        cache).  The metadata (chunks, col_weight, ideal_bias) describes
-        the layout, not the conductances, and is shared unchanged.
+        banks (with fresh predictor handles).  The metadata (chunks,
+        col_weight, ideal_bias) describes the layout, not the
+        conductances, and is shared unchanged.
         """
         model = self._drift_model
         assert model is not None
@@ -787,18 +781,16 @@ class CrossbarEngine:
         a row's bits.
 
         All-zero *rows* within an evaluated plane are compacted away
-        before the call: a zero voltage row yields the same currents
-        wherever it appears, so those rows read a once-per-bank zero-row
-        evaluation instead of being recomputed.  Post-ReLU activations
-        make the high-significance planes mostly zero, so this routinely
-        removes the bulk of the predictor work.
+        before the call: a row with no drive has no source, so it draws
+        no current and contributes exactly 0 (:meth:`_unpack` scatters
+        the driven rows into zeros).  Post-ReLU activations make the
+        high-significance planes mostly zero, so this routinely removes
+        the bulk of the predictor work.
 
         Returns ``None`` when no plane drives this bank, else ``(active,
-        volts, packed, zero_row)``: ``active[k]`` is (plane index, kept
-        row indices or ``None`` for all rows, first packed row, packed
-        row count), ``volts`` the packed voltages, ``packed`` their
-        currents and ``zero_row`` the bank's zero-voltage currents when
-        rows were compacted (``None`` otherwise).
+        volts, packed)``: ``active[k]`` is (plane index, kept row indices
+        or ``None`` for all rows, first packed row, packed row count),
+        ``volts`` the packed voltages and ``packed`` their currents.
         """
         n = planes[0].shape[0]
         rows = self.config.rows
@@ -837,43 +829,23 @@ class CrossbarEngine:
         evaluated = f"{kind}_evaluated"
         setattr(perf, evaluated, getattr(perf, evaluated) + len(active))
         self._observe_adc(packed)
-        compacted = packed_rows != len(active) * n
-        zero_row = self._zero_row_currents(bank) if compacted else None
-        return active, volts, packed, zero_row
+        return active, volts, packed
 
     @staticmethod
-    def _unpack(packed: np.ndarray, fill, active: list, n: int) -> np.ndarray:
-        """Expand packed rows back to dense per-plane blocks of ``n`` rows.
+    def _unpack(packed: np.ndarray, active: list, n: int) -> np.ndarray:
+        """Scatter packed rows into dense per-plane blocks of ``n`` rows.
 
-        Block ``k`` holds plane ``active[k]``; rows compaction removed
-        read ``fill`` (the zero-row value of whatever ``packed`` holds),
-        bit-identical to evaluating them in place.
+        Block ``k`` holds plane ``active[k]``; the rows compaction
+        removed drove nothing and read exactly 0.  Returns ``packed``
+        itself when no row was compacted (the layouts then coincide).
         """
-        dense = np.empty((len(active) * n, packed.shape[1]), dtype=packed.dtype)
+        if all(idx is None for _t, idx, _pos, _cnt in active):
+            return packed
+        dense = np.zeros((len(active) * n, packed.shape[1]), dtype=packed.dtype)
         for k, (_t, idx, pos, cnt) in enumerate(active):
-            blk = dense[k * n : (k + 1) * n]
-            if idx is None:
-                blk[:] = packed[pos : pos + cnt]
-            else:
-                blk[:] = fill
-                blk[idx] = packed[pos : pos + cnt]
+            rows = slice(k * n, (k + 1) * n) if idx is None else k * n + idx
+            dense[rows] = packed[pos : pos + cnt]
         return dense
-
-    def _zero_dead_rows(self, block: np.ndarray, idx: np.ndarray | None) -> None:
-        """Serving mode: rows that drove no voltage contribute exactly zero.
-
-        ``block`` is one plane's per-row result and ``idx`` the rows
-        compaction kept (``None``: all).  With a pinned DAC range a row
-        must not depend on its batch-mates: alone, its singleton batch
-        would skip the plane outright, so it must not inherit the
-        predictor's zero-bias dark current whenever a batch-mate keeps
-        the plane alive.
-        """
-        if self.dac_range is None or idx is None:
-            return
-        keep = np.zeros(block.shape[0], dtype=bool)
-        keep[idx] = True
-        block[~keep] = 0
 
     def _accumulate_streams(self, out: np.ndarray, streams: list[np.ndarray]) -> None:
         """Float-path kernel: one predictor call per tile-row bank.
@@ -892,56 +864,31 @@ class CrossbarEngine:
         denom = dev.g_step * v_step
         full_scale = adc.full_scale_fraction * self._adc_full_scale
         lsb = full_scale / (2**adc.bits - 1) if adc.bits is not None else 1.0
-        guard = self.config.guard
-        if not guard.active:
-            check, sat_limit = 0, 0.0
-        elif guard.saturation_factor is None:
-            check, sat_limit = 1, 0.0
-        else:
-            check, sat_limit = 2, guard.saturation_factor * self._adc_full_scale
+        sat_limit = self._guard_limit()
         for bank in self.banks:
             evaluated = self._predict_packed(bank, streams, v_step, "streams")
             if evaluated is None:
                 continue
-            active, volts, packed, zero_row = evaluated
+            active, volts, packed = evaluated
             packed_v_sum = volts.sum(axis=1, keepdims=True)
-            weighted = None
             # Fast path: ADC quantization, the G_min dummy-column
             # subtraction, dot recovery and the per-chunk significance
             # weights fuse into one compiled pass over the *packed*
             # rows only; the same pass probes tile health on the raw
-            # currents, and compacted-away zero rows reuse a single
-            # weighted zero-row evaluation.  Bit-identical to the numpy
-            # chain below; anything sick — which requires injected
-            # faults — falls through to the per-stream guard chain so
-            # trip counts and warn ordering stay exact, as does a
-            # missing compiler.
-            if check == 0 or zero_row is None or self._currents_healthy(zero_row):
-                res = _ckernels.dequant_dots(
-                    packed, packed_v_sum, bank.col_weight,
-                    adc_bits=adc.bits, full_scale=full_scale, lsb=lsb,
-                    g_min=dev.g_min, denom=denom,
-                    check=check, sat_limit=sat_limit,
-                )
-                if res is not None and not res[1]:
-                    weighted = res[0]
-            if weighted is not None and zero_row is not None:
-                zres = _ckernels.dequant_dots(
-                    zero_row.reshape(1, -1), np.zeros((1, 1)), bank.col_weight,
-                    adc_bits=adc.bits, full_scale=full_scale, lsb=lsb,
-                    g_min=dev.g_min, denom=denom,
-                )
-                if zres is None:
-                    weighted = None  # can't expand: take the numpy path
-                else:
-                    weighted = self._unpack(weighted, zres[0][0], active, n)
-            if weighted is None:
-                if zero_row is None:
-                    currents = packed
-                    v_sum = packed_v_sum
-                else:
-                    currents = self._unpack(packed, zero_row, active, n)
-                    v_sum = self._unpack(packed_v_sum, 0.0, active, n)
+            # currents.  Bit-identical to the numpy chain below;
+            # anything sick — which requires injected faults — falls
+            # through to the per-stream guard chain so trip counts and
+            # warn ordering stay exact, as does a missing compiler.
+            res = _ckernels.dequant_dots(
+                packed, packed_v_sum, bank.col_weight,
+                adc_bits=adc.bits, full_scale=full_scale, lsb=lsb,
+                g_min=dev.g_min, denom=denom, sat_limit=sat_limit,
+            )
+            if res is not None and not res[1]:
+                weighted = self._unpack(res[0], active, n)
+            else:
+                currents = self._unpack(packed, active, n)
+                v_sum = self._unpack(packed_v_sum, active, n)
                 # Health checks run per stream slice so guard-trip
                 # counts and warn-once ordering match the oracle's
                 # per-(bank, stream) evaluation exactly.
@@ -972,10 +919,9 @@ class CrossbarEngine:
                 # exact powers of two, so the factored product matches
                 # the oracle's fused scalar multiply bit for bit.
                 weighted = dots * bank.col_weight
-            for k, (t, idx, _pos, _cnt) in enumerate(active):
+            for k, (t, _idx, _pos, _cnt) in enumerate(active):
                 stream_scale = float(2.0 ** (bs.stream_bits * t))
                 blk = weighted[k * n : (k + 1) * n]
-                self._zero_dead_rows(blk, idx)
                 for chunk in bank.chunks:
                     src = blk[:, chunk.offset : chunk.offset + chunk.width]
                     dst = out[:, chunk.col_slice]
@@ -1048,45 +994,35 @@ class CrossbarEngine:
         trip counts and warn ordering match the oracle exactly.
         """
         n = A.shape[0]
-        guard = self.config.guard
         for bank in self.banks:
             evaluated = self._predict_packed(bank, planes, self._quant_v_step, "planes")
             if evaluated is None:
                 continue
-            active, _volts, packed, zero_row = evaluated
+            active, _volts, packed = evaluated
             cols = bank.total_cols
-            if not guard.active or (
-                self._currents_healthy(packed)
-                and (zero_row is None or self._currents_healthy(zero_row))
-            ):
+            sick = self._sick_currents(packed)
+            if sick is None or not sick.any():
                 pk = self._int_workspace("_packed_codes_buf", packed.shape[0], cols)
                 self._adc_int_codes(packed, out=pk)
                 for t, idx, pos, cnt in active:
                     codes_blk = pk[pos : pos + cnt]
                     if idx is not None:
-                        # Compacted-away zero rows read the cached ADC
-                        # codes of the zero-voltage evaluation —
-                        # bit-identical to evaluating them in place.
+                        # Compacted-away rows drove nothing: code 0.
                         exp = self._int_workspace("_expand_codes_buf", n, cols)
-                        exp[:] = self._zero_int_codes(bank)
+                        exp.fill(0)
                         exp[idx] = codes_blk
-                        self._zero_dead_rows(exp, idx)
                         codes_blk = exp
                     B = self._int_accumulate_chunks(
                         A, B, codes_blk, bank, None, sign, t, None
                     )
             else:
-                currents = (
-                    packed if zero_row is None
-                    else self._unpack(packed, zero_row, active, n)
-                )
-                for k, (t, idx, _pos, _cnt) in enumerate(active):
+                currents = self._unpack(packed, active, n)
+                for k, (t, _idx, _pos, _cnt) in enumerate(active):
                     blk = currents[k * n : (k + 1) * n]
                     fallback_cols = self._check_tile_health(blk, bank)
-                    codes = self._adc_int_codes(blk)
-                    self._zero_dead_rows(codes, idx)
                     B = self._int_accumulate_chunks(
-                        A, B, codes, bank, planes[t][:, bank.row_slice], sign, t,
+                        A, B, self._adc_int_codes(blk), bank,
+                        planes[t][:, bank.row_slice], sign, t,
                         self._fallback_groups(bank, fallback_cols),
                     )
         return B
@@ -1180,20 +1116,13 @@ class CrossbarEngine:
         Recovered from the fault-free conductances kept for the float
         fallback: ``levels = rint((G - g_min) / g_step)``.  Lazily
         cached on the bank — deterministic for a programmed bank, so
-        sharing across pristine clones is safe (like zero_currents).
+        sharing across pristine clones is safe.
         """
         if bank.int_levels is None:
             dev = self.config.device
             levels = np.rint((bank.ideal_bias - dev.g_min) / dev.g_step)
             bank.int_levels = levels.astype(np.int32)
         return bank.int_levels
-
-    def _zero_int_codes(self, bank: _TileRowBank) -> np.ndarray:
-        """ADC codes of the bank's zero-voltage currents (cached)."""
-        if bank.zero_codes is None:
-            zero = self._zero_row_currents(bank)
-            bank.zero_codes = self._adc_int_codes(zero.reshape(1, -1))[0]
-        return bank.zero_codes
 
     def _int_workspace(self, name: str, m: int, cols: int) -> np.ndarray:
         """Reusable int32 code buffer for the integer kernel."""
@@ -1246,21 +1175,6 @@ class CrossbarEngine:
             self._volt_buf = buf
         return buf[:m]
 
-    def _zero_row_currents(self, bank: _TileRowBank) -> np.ndarray:
-        """The bank's currents for an all-zero voltage row (cached).
-
-        Row independence makes a standalone single-row evaluation
-        bit-identical to the same zero row inside a larger batch, so
-        compaction can substitute this constant for every skipped row.
-        """
-        if bank.zero_currents is None:
-            start = time.perf_counter()
-            bank.zero_currents = self.predictor.predict_from_bias(
-                np.zeros((1, self.config.rows)), bank.handle
-            )[0]
-            self.perf.predictor_seconds += time.perf_counter() - start
-        return bank.zero_currents
-
     # ------------------------------------------------------------------
     # Graceful degradation (see repro.xbar.faults.GuardConfig)
     # ------------------------------------------------------------------
@@ -1269,21 +1183,27 @@ class CrossbarEngine:
         """How many bank evaluations the health guard has intercepted."""
         return self._guard_trips
 
-    def _currents_healthy(self, currents: np.ndarray) -> bool:
-        """Cheap all-clear probe for the kernels' fast paths.
+    def _guard_limit(self) -> float | None:
+        """The health guard's sick-current threshold (``None``: guard off).
 
-        True iff :meth:`_check_tile_health` would return ``None``
-        without tripping the guard for every stream block drawn from
-        ``currents`` — finite everywhere and under the saturation
-        limit.  Anything sick routes the bank through the per-plane
-        guard chain so trip counts and warn ordering stay exact.
+        One rule decides whether a raw current is sick: non-finite, or
+        ``|I|`` above this limit (``inf`` without a saturation factor).
+        :meth:`_sick_currents` applies it, and the float kernel's
+        compiled dequantization pass fuses the same test.
         """
-        if not np.isfinite(currents).all():
-            return False
-        sat = self.config.guard.saturation_factor
-        return sat is None or not (
-            np.abs(currents) > sat * self._adc_full_scale
-        ).any()
+        guard = self.config.guard
+        if not guard.active:
+            return None
+        if guard.saturation_factor is None:
+            return np.inf
+        return guard.saturation_factor * self._adc_full_scale
+
+    def _sick_currents(self, currents: np.ndarray) -> np.ndarray | None:
+        """Per-element sick mask of ``currents`` (``None``: guard off)."""
+        limit = self._guard_limit()
+        if limit is None:
+            return None
+        return ~np.isfinite(currents) | (np.abs(currents) > limit)
 
     def _check_tile_health(
         self, currents: np.ndarray, bank: _TileRowBank
@@ -1297,13 +1217,8 @@ class CrossbarEngine:
         substitutes the ideal partial products.
         """
         guard = self.config.guard
-        if not guard.active:
-            return None
-        sick = ~np.isfinite(currents)
-        if guard.saturation_factor is not None:
-            limit = guard.saturation_factor * self._adc_full_scale
-            sick |= np.abs(currents) > limit
-        if not sick.any():
+        sick = self._sick_currents(currents)
+        if sick is None or not sick.any():
             return None
         self._guard_trips += 1
         sick_cols = sick.any(axis=0)
@@ -1830,8 +1745,8 @@ def restore_engine(
 
     The restored engine carries the pristine (programming-time) gain;
     callers re-run any activation calibration exactly as they would on
-    a freshly built engine.  ``zero_currents`` caches regenerate
-    lazily and deterministically.
+    a freshly built engine.  The lazily cached integer fallback levels
+    regenerate deterministically.
     """
     engine = CrossbarEngine.__new__(CrossbarEngine)
     engine.config = config

@@ -4,9 +4,9 @@ The serving layer's contract is *bitwise*: a request's logits do not
 depend on which micro-batch it rides in, how the batch axis is split,
 how many pool workers shard it, or whether the tenant runs the float
 or the int8 path.  Hypothesis drives the engine-level statement over
-generated batches and split plans (both dark-current regimes: ideal
-and GENIEx); the model-level statement runs over generated arrival
-patterns against a live server.
+generated batches and split plans (ideal and GENIEx backends); the
+model-level statement runs over generated arrival patterns against a
+live server.
 """
 
 from __future__ import annotations

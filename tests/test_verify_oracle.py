@@ -82,7 +82,7 @@ def test_cache_hit_matches_cold_build(case):
 @settings(max_examples=6, deadline=None)
 @given(case=cases())
 def test_zero_row_compaction_is_transparent(case):
-    """Appending all-zero rows never perturbs the live rows' bits."""
+    """Appended all-zero rows read exactly 0 and leave the live rows' bits."""
     config, weight, x, _seed = case
     check_dense_vs_zero_row_batch(weight, config, IdealPredictor(), x)
 

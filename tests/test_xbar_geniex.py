@@ -129,8 +129,8 @@ class TestRowStability:
     """``predict_from_bias`` must evaluate each row independently.
 
     The vectorized engine kernel stacks bit-streams into one batch and
-    substitutes a cached single-row evaluation for compacted zero rows,
-    so a row's currents must not depend on which batch it rides in.
+    compacts away undriven rows, so a row's currents must not depend on
+    which batch it rides in.
     BLAS GEMM breaks that silently — it picks different micro-kernels
     (different SIMD accumulation splits) depending on the row count —
     which is exactly the regression this guards against: large-batch
@@ -148,18 +148,6 @@ class TestRowStability:
             for i in range(n):
                 single = tiny_geniex.predict_from_bias(v[i : i + 1], handle)
                 np.testing.assert_array_equal(full[i], single[0])
-
-    def test_zero_row_cache_value_matches_in_batch(self, tiny_geniex, rng):
-        """The compaction substitute (a standalone zero-row evaluation)
-        must be bit-identical to a zero row inside a real batch."""
-        device = tiny_geniex.device
-        g = device.g_min + rng.integers(0, 4, size=(8, 8)) * device.g_step
-        handle = tiny_geniex.column_bias(g)
-        v = rng.random((16, 8)) * device.v_read
-        v[7] = 0.0
-        standalone = tiny_geniex.predict_from_bias(np.zeros((1, 8)), handle)
-        in_batch = tiny_geniex.predict_from_bias(v, handle)
-        np.testing.assert_array_equal(in_batch[7], standalone[0])
 
     def test_concurrent_predictions_are_isolated(self, tiny_geniex, rng):
         """One predictor instance serves every engine a lab builds, and

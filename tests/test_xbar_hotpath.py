@@ -188,7 +188,7 @@ class TestCompiledKernels:
             # The fused health probe flags the injected NaN/inf rows.
             _got, sick = _ckernels.dequant_dots(
                 cur, v_sum, colw, adc_bits=bits, full_scale=full_scale,
-                lsb=lsb, g_min=g_min, denom=denom, check=1,
+                lsb=lsb, g_min=g_min, denom=denom, sat_limit=np.inf,
             )
             assert sick
 
@@ -261,8 +261,8 @@ class TestLargeBatchCompaction:
     """Regression: GENIEx stacked/compacted evaluation vs. the oracle.
 
     With enough stacked rows the predictor's BLAS matmuls used to switch
-    micro-kernels, so the stacked kernel (one big packed batch plus a
-    cached zero-row substitute) drifted from a per-stream evaluation
+    micro-kernels, so the stacked kernel (one big packed batch of the
+    driven rows) drifted from a per-stream evaluation
     (one ``(n, rows)`` call per stream, as the oracle makes) by ~1e6 ULP
     after dequantization.  Surfaced by the differential oracle harness;
     fixed by making the predictor matmuls row-stable (see
@@ -282,7 +282,7 @@ class TestLargeBatchCompaction:
     def test_geniex_bitwise_across_kernels(self, tiny_geniex):
         config = make_tiny_crossbar_config(adc_bits=None, gain_calibration=8)
         weight, x = _weight_and_inputs(config, seed=3, batch=10)
-        x[4] = 0.0  # exercise zero-row compaction and the cached currents
+        x[4] = 0.0  # exercise zero-row compaction
         x[6, : config.rows] = 0.0
         _assert_matches_oracle(weight, config, tiny_geniex, x)
 
