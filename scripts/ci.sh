@@ -137,12 +137,6 @@ echo "=== bench smoke: parallel backend (tiny profile) ==="
 REPRO_BENCH_PROFILE=tiny python scripts/bench_parallel.py
 
 echo
-echo "=== bench gate: int8 quantized path (tiny profile) ==="
-# Asserts >= 1.5x speedup, compiled-vs-pure and 1/2/3-worker
-# bit-identity, and that the integer path actually served the matvecs.
-REPRO_BENCH_PROFILE=tiny python scripts/bench_quant.py
-
-echo
 echo "=== bench gate: serving layer (tiny profile) ==="
 # Asserts batching efficiency > 1 and response bit-identity vs serial
 # inference at 1/2/4 pool workers.

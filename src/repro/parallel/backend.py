@@ -113,9 +113,6 @@ def _strip_scratch(model) -> None:
             "_packed_codes_buf", "_expand_codes_buf",
         ):
             engine.__dict__.pop(attr, None)
-        predictor = getattr(engine, "predictor", None)
-        if predictor is not None and hasattr(predictor, "__dict__"):
-            predictor.__dict__.pop("_ws_buf", None)
 
 
 def _merge_blob(model, blob: dict) -> None:

@@ -1,17 +1,28 @@
 """Optional compiled kernels for the analog hot path.
 
-NumPy's broadcast ufuncs pay their inner-loop dispatch once per 32-wide
-hidden row in the GENIEx deviation evaluation, which caps the hottest
-elementwise passes at a fraction of memory speed on this workload.  The
-two kernels here replace those passes with tiny C loops compiled at
-first use with the system compiler (no third-party dependency: ctypes +
-``cc``), under strict IEEE semantics:
+NumPy pays its ufunc dispatch and a full temporary per elementwise
+step, which caps the hottest per-element chains of the crossbar model
+at a fraction of memory speed.  The kernels here replace those chains
+with tiny C loops compiled at first use with the system compiler (no
+third-party dependency: ctypes + ``cc``), under strict IEEE semantics:
 
-* ``fused_bias_relu`` — ``out[i,c,h] = relu(hv[i,h] + bias[c,h])`` in a
-  single pass (numpy needs a broadcast add plus an in-place maximum);
+* ``fused_deviation`` — the GENIEx hidden->output layer,
+  ``out[i,c] = sum_h w2[h] * relu(hv[i,h] + bias_t[h,c]) + b2``, summed
+  over ``h`` in ascending order and vectorized across columns only, so
+  each output is a fixed float32 operation sequence; an AVX2 clone is
+  selected at load time on x86-64 (``target_clones``);
 * ``poly_backbone`` — the five-term GENIEx polynomial backbone with the
   exact association order of the numpy expression, in one pass and
-  without the chain of float64 temporaries.
+  without the chain of float64 temporaries;
+* ``geniex_tail`` — the post-MLP GENIEx chain (denormalize, add the
+  backbone, subtract from the ideal current) in one pass;
+* ``dequant_dots`` — the float path's ADC quantization, dummy-column
+  subtraction and column weighting, fused with the guard's health probe;
+* ``adc_codes`` — the int8 path's ADC read-out to int32 codes, fused
+  with the same health probe;
+* ``axpy2d`` / ``int_axpy`` — shift-and-add of one stream or plane
+  block into the float or int64 accumulator;
+* ``int_dot`` — exact int32 x int32 -> int64 GEMM for guard fallbacks.
 
 Bit-identity is the contract: compilation uses ``-ffp-contract=off``
 and ``-fno-fast-math`` so every add/multiply rounds exactly like the
@@ -36,27 +47,45 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = r"""
-/* IEEE-strict helpers for the GENIEx hot path.  Compiled with
+/* IEEE-strict helpers for the analog hot path.  Compiled with
  * -ffp-contract=off so no multiply-add is fused; every operation
  * rounds exactly once, like the numpy ufunc chain it replaces. */
 
 #include <math.h>
 
-void fused_bias_relu(const float *hv, const float *bias, float *out,
+/* Portable ISA dispatch: the loader picks the AVX2 clone where the CPU
+ * has it.  Each output is the same ordered float32 sum either way, so
+ * the clones agree bit for bit. */
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+void fused_deviation(const float *restrict hv, const float *restrict bias_t,
+                     const float *restrict w2, float b2, float *restrict out,
                      long n, long cols, long hidden)
 {
+    /* out[i,c] = sum_h w2[h] * relu(hv[i,h] + bias_t[h,c]) + b2, the sum
+     * starting from 0 and running over h in ascending order; only the
+     * column loop is vectorized, so every output is a fixed sequence
+     * of float32 operations (row-stable, ISA-independent). */
     for (long i = 0; i < n; ++i) {
         const float *row = hv + i * hidden;
-        float *dst = out + i * cols * hidden;
-        for (long c = 0; c < cols; ++c) {
-            const float *b = bias + c * hidden;
-            float *o = dst + c * hidden;
-            for (long h = 0; h < hidden; ++h) {
-                float t = row[h] + b[h];
-                /* np.maximum(t, 0.0): NaN propagates, -0.0 -> +0.0 */
-                o[h] = (t == t) ? (t > 0.0f ? t : 0.0f) : t;
+        float *restrict o = out + i * cols;
+        for (long c = 0; c < cols; ++c)
+            o[c] = 0.0f;
+        for (long h = 0; h < hidden; ++h) {
+            const float x = row[h];
+            const float w = w2[h];
+            const float *restrict b = bias_t + h * cols;
+            for (long c = 0; c < cols; ++c) {
+                float t = x + b[c];
+                /* np.maximum(t, 0.0): NaN fails the test and propagates,
+                 * -0.0 passes it and becomes +0.0 */
+                t = t <= 0.0f ? 0.0f : t;
+                o[c] = o[c] + w * t;
             }
         }
+        for (long c = 0; c < cols; ++c)
+            o[c] = o[c] + b2;
     }
 }
 
@@ -163,19 +192,28 @@ void axpy2d(double *dst, const double *src, double a, long n, long w,
     }
 }
 
-void adc_codes(const double *cur, int *out, long total, double hi, double lsb)
+int adc_codes(const double *cur, int *out, long total, double hi, double lsb,
+              int check, double sat_limit)
 {
     /* Integer ADC read-out: out = rint(clip(cur, 0, full_scale) / lsb)
      * as int32 codes.  A non-finite current reads back as code 0 — a
      * real converter always emits *some* code, and NaN/Inf must never
-     * reach the integer accumulators (the guard handles sick tiles). */
+     * reach the integer accumulators (the guard handles sick tiles).
+     *
+     * With check set, the same pass is the tile-health probe of
+     * dequant_dots: it returns 1 at the first sick current (non-finite
+     * or above sat_limit), leaving ``out`` partly written — the caller
+     * then reruns the bank through the per-plane guard chain. */
     for (long i = 0; i < total; ++i) {
         double q = cur[i];
+        if (check && (!isfinite(q) || fabs(q) > sat_limit))
+            return 1;
         if (!isfinite(q)) { out[i] = 0; continue; }
         double t = q < 0.0 ? 0.0 : q;
         t = t > hi ? hi : t;
         out[i] = (int)rint(t / lsb);
     }
+    return 0;
 }
 
 void int_axpy(long long *dst, const int *src, long long a, long n, long w,
@@ -252,9 +290,9 @@ def _compile() -> ctypes.CDLL | None:
             return None
         os.replace(tmp, so_path)  # atomic vs. concurrent builders
     lib = ctypes.CDLL(str(so_path))
-    lib.fused_bias_relu.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_long, ctypes.c_long, ctypes.c_long,
+    lib.fused_deviation.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float,
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
     ]
     lib.poly_backbone.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
@@ -278,8 +316,9 @@ def _compile() -> ctypes.CDLL | None:
     ]
     lib.adc_codes.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
-        ctypes.c_double, ctypes.c_double,
+        ctypes.c_double, ctypes.c_double, ctypes.c_int, ctypes.c_double,
     ]
+    lib.adc_codes.restype = ctypes.c_int
     lib.int_axpy.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong,
         ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
@@ -304,26 +343,34 @@ def available() -> bool:
     return _lib is not None
 
 
-def fused_bias_relu(block: np.ndarray, bias: np.ndarray, out: np.ndarray) -> bool:
-    """``out[i,c,h] = max(block[i,h] + bias[c,h], 0)`` in one pass.
+def fused_deviation(
+    hv: np.ndarray, bias_t: np.ndarray, w2: np.ndarray, b2: float, out: np.ndarray
+) -> bool:
+    """GENIEx hidden->output layer in one pass, straight into ``out``.
 
-    Returns False (without touching ``out``) when the compiled library
-    is unavailable or the layouts don't qualify — callers then run the
-    equivalent numpy ufunc pair.
+    ``out[i, c] = sum_h w2[h] * max(hv[i, h] + bias_t[h, c], 0) + b2``
+    with the sum over ``h`` in ascending order from 0, all in float32 —
+    the order of the numpy fallback in
+    :meth:`repro.xbar.geniex.GENIEx._deviation`.  Returns False
+    (without touching ``out``) when the compiled library is unavailable
+    or the layouts don't qualify.
     """
     if not available():
         return False
+    n, hidden = hv.shape
+    cols = bias_t.shape[1]
     if not (
-        block.dtype == np.float32 and bias.dtype == np.float32
-        and out.dtype == np.float32
-        and block.flags.c_contiguous and bias.flags.c_contiguous
-        and out.flags.c_contiguous
+        hv.dtype == np.float32 and bias_t.dtype == np.float32
+        and w2.dtype == np.float32 and out.dtype == np.float32
+        and bias_t.shape[0] == hidden and w2.shape == (hidden,)
+        and out.shape == (n, cols)
+        and hv.flags.c_contiguous and bias_t.flags.c_contiguous
+        and w2.flags.c_contiguous and out.flags.c_contiguous
     ):
         return False
-    n, hidden = block.shape
-    cols = bias.shape[0]
-    _lib.fused_bias_relu(
-        block.ctypes.data, bias.ctypes.data, out.ctypes.data, n, cols, hidden
+    _lib.fused_deviation(
+        hv.ctypes.data, bias_t.ctypes.data, w2.ctypes.data, b2,
+        out.ctypes.data, n, cols, hidden,
     )
     return True
 
@@ -461,23 +508,37 @@ def axpy_block(dst: np.ndarray, src: np.ndarray, a: float) -> bool:
     return True
 
 
-def adc_codes(currents: np.ndarray, out: np.ndarray, *, full_scale: float, lsb: float) -> bool:
+def adc_codes(
+    currents: np.ndarray,
+    out: np.ndarray,
+    *,
+    full_scale: float,
+    lsb: float,
+    sat_limit: float | None = None,
+) -> bool | None:
     """Integer ADC read-out: ``out = rint(clip(I, 0, fs) / lsb)`` (int32).
 
     Non-finite currents read back as code 0 (see the C comment); the
-    numpy fallback in the engine implements the identical rule.
-    Returns False (out untouched) when the layouts don't qualify.
+    numpy fallback in the engine implements the identical rule.  A
+    ``sat_limit`` (``inf`` for none) probes tile health in the same
+    pass, with :func:`dequant_dots`' rule.
+
+    Returns ``sick`` — ``out`` is only valid when it is False — or None
+    (out untouched) to signal the caller to take the numpy path.
     """
     if not available():
-        return False
+        return None
     if not (
         currents.dtype == np.float64 and out.dtype == np.int32
         and out.shape == currents.shape
         and currents.flags.c_contiguous and out.flags.c_contiguous
     ):
-        return False
-    _lib.adc_codes(currents.ctypes.data, out.ctypes.data, currents.size, full_scale, lsb)
-    return True
+        return None
+    sick = _lib.adc_codes(
+        currents.ctypes.data, out.ctypes.data, currents.size, full_scale, lsb,
+        sat_limit is not None, 0.0 if sat_limit is None else sat_limit,
+    )
+    return bool(sick)
 
 
 def int_axpy(dst: np.ndarray, src: np.ndarray, a: int) -> bool:

@@ -73,7 +73,10 @@ _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 #: coordinates (drift epoch + pulse count) and pristine tile arrays.
 #: Format 3: programming-time gains fitted with undriven rows reading
 #: zero current (GENIEx gains of format 2 include its V=0 response).
-SNAPSHOT_FORMAT = 3
+#: Format 4: GENIEx handles store the column bias transposed (``bias_t``)
+#: and programming-time gains are fitted through the in-order fused
+#: deviation sum (format 3 gains carry the old BLAS sum order).
+SNAPSHOT_FORMAT = 4
 
 
 def resolve_disk_dir(override: "str | os.PathLike | None" = None) -> Path | None:

@@ -38,7 +38,6 @@ Factorized inference
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,7 +79,7 @@ class GENIExTrainConfig:
 class _BankHandle:
     """Prepared per-layer state for the factorized inference path."""
 
-    bias: np.ndarray  # (C, H) hidden-layer per-column constants
+    bias_t: np.ndarray  # (H, C) hidden-layer per-column constants, transposed
     conductances: np.ndarray  # (R, C) for the exact ideal term
 
 
@@ -197,7 +196,9 @@ class GENIEx:
         bias = features @ self._w1g.T + self.b1  # (C, H)
         used = conductances.shape[1] if used_cols is None else used_cols
         return _BankHandle(
-            bias=bias[:used].astype(np.float32),
+            # Stored (H, C) so the deviation pass reads each hidden
+            # unit's column constants contiguously.
+            bias_t=np.ascontiguousarray(bias[:used].T, dtype=np.float32),
             conductances=np.asarray(conductances[:, :used], dtype=np.float32),
         )
 
@@ -207,9 +208,9 @@ class GENIEx:
 
     @staticmethod
     def concat_bias(handles: list[_BankHandle]) -> _BankHandle:
-        """Stack per-crossbar handles into one bank handle."""
+        """Stack per-crossbar handles into one bank handle (along columns)."""
         return _BankHandle(
-            bias=np.concatenate([h.bias for h in handles], axis=0),
+            bias_t=np.concatenate([h.bias_t for h in handles], axis=1),
             conductances=np.concatenate([h.conductances for h in handles], axis=1),
         )
 
@@ -225,7 +226,12 @@ class GENIEx:
     def predict_from_bias(
         self, voltages: np.ndarray, column_bias: _BankHandle, chunk: int = 8192
     ) -> np.ndarray:
-        """Currents for (B, R) voltages given a prepared bank handle."""
+        """Currents for (B, R) voltages given a prepared bank handle.
+
+        ``chunk`` is accepted for the predictor protocol only: no stage
+        keeps an intermediate larger than the (B, C) output, so there
+        is nothing to bound by row blocks.
+        """
         handle = column_bias
         v32 = np.asarray(voltages, dtype=np.float32)
         # The simulator's stacked/compacted fast paths require every
@@ -235,8 +241,7 @@ class GENIEx:
         ideal = row_stable_matmul(v32, handle.conductances)  # exact digital term, (B, C)
         v_norm = v32 / np.float32(self.device.v_read)
         hv = row_stable_matmul(v_norm, self._w1v.T)  # (B, H)
-        deviation = np.empty((hv.shape[0], handle.bias.shape[0]), dtype=np.float32)
-        self._deviation_blocks(hv, handle.bias, deviation, chunk)
+        deviation = self._deviation(hv, handle.bias_t)
         v_frac = v_norm.mean(axis=1, keepdims=True)
         fused = _ckernels.geniex_tail(
             ideal, deviation, v_frac, self.poly,
@@ -249,73 +254,29 @@ class GENIEx:
         deviation = deviation + self.poly_deviation(i_frac, v_frac)
         return ideal - deviation * self._i_norm
 
-    def _deviation_blocks(
-        self, hv: np.ndarray, bias: np.ndarray, out: np.ndarray, chunk: int
-    ) -> None:
-        """Blocked hidden-layer evaluation with a reused f32 workspace.
+    def _deviation(self, hv: np.ndarray, bias_t: np.ndarray) -> np.ndarray:
+        """The MLP's hidden->output layer, ``(B, H) -> (B, C)`` float32.
 
-        Chunks the batch so the ``(block, C, H)`` pre-activation fits a
-        bounded float32 workspace that is reused across chunks (and
-        across calls) instead of reallocated per chunk; the broadcast
-        add, the ReLU and the output contraction all run in place, and
-        the contraction writes straight into the caller's deviation
-        buffer.  The contraction stays a stacked ``(b, C, H) @ (H,)``
-        matmul on purpose: a BLAS GEMV over the reshaped 2-D view
-        differs in the last bit for some shapes, and the numerical
-        contract is exact equality.
+        ``out[i, c] = sum_h w2[h] * relu(hv[i, h] + bias_t[h, c]) + b2``
+        with the sum starting from 0 and running over ``h`` in
+        ascending order, every step rounded to float32.  That order is
+        the spec: each output is a fixed operation sequence of its own
+        row, so the result is row-stable, and the compiled pass (one
+        sweep, no pre-activation workspace) and this numpy loop agree
+        bit for bit.
         """
-        n_cols, hidden = bias.shape
-        # Bound the (block, cols, hidden) workspace to ~512 KB so it
-        # stays L2-resident between the fused bias+ReLU write and the
-        # matmul that reads it back (measured ~15% end-to-end faster
-        # than a main-memory-sized block).  Row blocking never changes
-        # the per-row arithmetic, so any step size is bit-identical.
-        step = max(1, min(hv.shape[0], chunk, (1 << 17) // max(1, n_cols * hidden)))
-        ws = self._block_workspace(step * n_cols * hidden)
-        for start in range(0, hv.shape[0], step):
-            block = hv[start : start + step]  # (b, H)
-            b = block.shape[0]
-            pre = ws[: b * n_cols * hidden].reshape(b, n_cols, hidden)
-            if not _ckernels.fused_bias_relu(block, bias, pre):
-                np.add(block[:, None, :], bias[None, :, :], out=pre)
-                np.maximum(pre, 0.0, out=pre)
-            np.matmul(pre, self.w2, out=out[start : start + b])
-            out[start : start + b] += self.b2
-
-    def __getstate__(self) -> dict:
-        """Pickle without scratch buffers.
-
-        Shipping a predictor to pool workers routes large arrays into
-        read-only shared memory; a pickled workspace would surface in
-        every worker as one *physically shared* buffer (fork preserves
-        the parent's thread ident, so the per-thread lookup hits it).
-        The numpy path then dies on the read-only flag — and the C
-        kernels, which write through raw pointers, would silently race
-        concurrent workers against each other's pre-activations.
-        """
-        state = self.__dict__.copy()
-        state.pop("_ws_bufs", None)
-        state.pop("_ws_buf", None)  # scratch attr of older pickles
-        return state
-
-    def _block_workspace(self, size: int) -> np.ndarray:
-        """Reusable flat float32 scratch for the blocked evaluation.
-
-        Keyed per thread (a plain dict, so the predictor stays
-        picklable for shared-memory shipping): one predictor instance
-        is shared by every engine a lab builds, and serving lanes
-        evaluate different tenants' engines concurrently — a single
-        buffer would let one lane scribble over another's
-        pre-activations mid-matmul.
-        """
-        workspaces = getattr(self, "_ws_bufs", None)
-        if workspaces is None:
-            workspaces = self._ws_bufs = {}
-        key = threading.get_ident()
-        buf = workspaces.get(key)
-        if buf is None or buf.size < size or not buf.flags.writeable:
-            buf = workspaces[key] = np.empty(size, dtype=np.float32)
-        return buf
+        out = np.empty((hv.shape[0], bias_t.shape[1]), dtype=np.float32)
+        if _ckernels.fused_deviation(hv, bias_t, self.w2, self.b2, out):
+            return out
+        out.fill(0.0)
+        term = np.empty_like(out)
+        for h in range(hv.shape[1]):
+            np.add(hv[:, h, None], bias_t[h], out=term)
+            np.maximum(term, 0.0, out=term)
+            term *= self.w2[h]
+            out += term
+        out += np.float32(self.b2)
+        return out
 
     def predict(self, voltages: np.ndarray, conductances: np.ndarray) -> np.ndarray:
         """Non-ideal currents for (B, R) or (R,) voltages and (R, C) G."""

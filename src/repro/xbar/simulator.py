@@ -72,10 +72,11 @@ class ColumnPredictor(Protocol):
     of input voltage vectors against a bank.
 
     ``chunk`` bounds how many voltage vectors a backend may evaluate at
-    once: every implementation must process the batch in row-blocks of
-    at most ``chunk`` rows, so peak intermediate memory is predictable
-    and consistent across backends.  Output rows depend only on their
-    own voltage row, so chunking never changes results.
+    once where it keeps a per-row-block intermediate larger than its
+    output (the circuit solver); backends whose intermediates are no
+    larger than the ``(B, C)`` output (ideal, GENIEx) may ignore it.
+    Output rows depend only on their own voltage row, so chunking never
+    changes results.
     """
 
     def prepare_crossbar(self, conductances: np.ndarray, used_cols: int | None = None): ...
@@ -988,10 +989,11 @@ class CrossbarEngine:
         """Integer kernel: one predictor call per bank.
 
         After :meth:`_predict_packed` the chain is integer: one ADC-code
-        pass over the packed rows, then exact shift-and-add.  Anything
-        unhealthy (requires injected faults) expands back to dense
-        per-plane blocks and runs the guard chain plane by plane, so
-        trip counts and warn ordering match the oracle exactly.
+        pass over the packed rows, which also probes tile health, then
+        exact shift-and-add.  Anything unhealthy (requires injected
+        faults) expands back to dense per-plane blocks and runs the
+        guard chain plane by plane, so trip counts and warn ordering
+        match the oracle exactly.
         """
         n = A.shape[0]
         for bank in self.banks:
@@ -1000,10 +1002,8 @@ class CrossbarEngine:
                 continue
             active, _volts, packed = evaluated
             cols = bank.total_cols
-            sick = self._sick_currents(packed)
-            if sick is None or not sick.any():
-                pk = self._int_workspace("_packed_codes_buf", packed.shape[0], cols)
-                self._adc_int_codes(packed, out=pk)
+            pk = self._int_workspace("_packed_codes_buf", packed.shape[0], cols)
+            if not self._adc_int_codes(packed, out=pk, check=True)[1]:
                 for t, idx, pos, cnt in active:
                     codes_blk = pk[pos : pos + cnt]
                     if idx is not None:
@@ -1021,7 +1021,7 @@ class CrossbarEngine:
                     blk = currents[k * n : (k + 1) * n]
                     fallback_cols = self._check_tile_health(blk, bank)
                     B = self._int_accumulate_chunks(
-                        A, B, self._adc_int_codes(blk), bank,
+                        A, B, self._adc_int_codes(blk)[0], bank,
                         planes[t][:, bank.row_slice], sign, t,
                         self._fallback_groups(bank, fallback_cols),
                     )
@@ -1087,28 +1087,37 @@ class CrossbarEngine:
         }
 
     def _adc_int_codes(
-        self, currents: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
+        self, currents: np.ndarray, out: np.ndarray | None = None, check: bool = False
+    ) -> tuple[np.ndarray, bool]:
         """Raw ADC codes ``rint(clip(I, 0, full_scale) / lsb)`` as int32.
 
         Non-finite currents digitize to code 0 — a dead ADC lane reads
         zero; the compiled kernel and the numpy fallback implement the
         same rule, so the integer path never propagates NaN/Inf (the
         guard decides what, if anything, replaces the sick columns).
+
+        With ``check`` the same pass probes tile health with the
+        guard's rule (:meth:`_guard_limit`).  Returns ``(codes, sick)``;
+        the codes are only valid when nothing is sick.
         """
         if out is None:
             out = np.empty(currents.shape, dtype=np.int32)
-        if _ckernels.adc_codes(
-            currents, out, full_scale=self._quant_full_scale, lsb=self._quant_lsb
-        ):
-            return out
+        limit = self._guard_limit() if check else None
+        sick = _ckernels.adc_codes(
+            currents, out, full_scale=self._quant_full_scale, lsb=self._quant_lsb,
+            sat_limit=limit,
+        )
+        if sick is not None:
+            return out, sick
+        if limit is not None and self._sick_currents(currents).any():
+            return out, True
         q = np.clip(currents, 0.0, self._quant_full_scale)
         q /= self._quant_lsb
         np.rint(q, out=q)
         if not np.isfinite(currents).all():
             q[~np.isfinite(currents)] = 0.0
         out[...] = q
-        return out
+        return out, False
 
     def _int_ideal_levels(self, bank: _TileRowBank) -> np.ndarray:
         """Exact per-cell weight levels for integer guard fallbacks.
@@ -1188,8 +1197,9 @@ class CrossbarEngine:
 
         One rule decides whether a raw current is sick: non-finite, or
         ``|I|`` above this limit (``inf`` without a saturation factor).
-        :meth:`_sick_currents` applies it, and the float kernel's
-        compiled dequantization pass fuses the same test.
+        :meth:`_sick_currents` applies it, and the compiled
+        dequantization (float) and ADC-code (int8) passes fuse the same
+        test.
         """
         guard = self.config.guard
         if not guard.active:
@@ -1659,10 +1669,10 @@ def snapshot_engine(engine: CrossbarEngine) -> "tuple[dict, dict] | None":
 
     Only array-shaped predictor handles are supported: plain
     conductance matrices (Ideal/Noise predictors) and GENIEx bank
-    handles (bias + conductances).  CircuitPredictor handles are lists
-    of ragged tuples — snapshotting those is not worth the complexity,
-    so the function returns ``None`` and the caller skips the disk
-    tier for that engine.
+    handles (transposed bias + conductances).  CircuitPredictor handles
+    are lists of ragged tuples — snapshotting those is not worth the
+    complexity, so the function returns ``None`` and the caller skips
+    the disk tier for that engine.
     """
     import dataclasses
 
@@ -1677,7 +1687,7 @@ def snapshot_engine(engine: CrossbarEngine) -> "tuple[dict, dict] | None":
             arrays[f"b{i}_handle"] = handle
         elif isinstance(handle, _BankHandle):
             kind = "geniex"
-            arrays[f"b{i}_bias"] = handle.bias
+            arrays[f"b{i}_bias_t"] = handle.bias_t
             arrays[f"b{i}_cond"] = handle.conductances
         else:
             return None
@@ -1767,7 +1777,7 @@ def restore_engine(
             from repro.xbar.geniex import _BankHandle
 
             handle = _BankHandle(
-                bias=arrays[f"b{i}_bias"], conductances=arrays[f"b{i}_cond"]
+                bias_t=arrays[f"b{i}_bias_t"], conductances=arrays[f"b{i}_cond"]
             )
         chunks_i = arrays[f"b{i}_chunks_i"]
         chunks_f = arrays[f"b{i}_chunks_f"]

@@ -376,6 +376,34 @@ def test_int8_logits_identical(workers, int8_hardware, eval_batch):
     assert np.array_equal(serial, parallel)
 
 
+@pytest.fixture(scope="module")
+def int8_geniex_hardware(digital_model, tiny_geniex):
+    """Quantized hardware on the GENIEx surrogate, calibrated serially."""
+    hw = convert_to_hardware(
+        digital_model,
+        _int8_config(),
+        predictor=tiny_geniex,
+        rng=np.random.default_rng(5),
+        engine_cache=False,
+    )
+    images = np.random.default_rng(7).random((8, 3, 8, 8)).astype(np.float32)
+    calibrate_hardware(hw, images, batch_size=4)
+    return hw
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_int8_geniex_logits_identical(workers, int8_geniex_hardware, eval_batch):
+    """The GENIEx predictor ships to workers through shared memory and
+    holds no scratch of its own, so int8 logits match serial exactly."""
+    from repro.attacks.base import predict_logits
+
+    x, _y = eval_batch
+    serial = predict_logits(int8_geniex_hardware, x, batch_size=2)
+    with parallel_backend(workers):
+        parallel = predict_logits(int8_geniex_hardware, x, batch_size=2)
+    assert np.array_equal(serial, parallel)
+
+
 # ----------------------------------------------------------------------
 # Bit-identity: attacks
 # ----------------------------------------------------------------------

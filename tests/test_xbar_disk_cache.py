@@ -10,6 +10,7 @@ import pytest
 from repro.cli import main
 from repro.xbar.engine_cache import (
     DISK_CACHE_ENV,
+    SNAPSHOT_FORMAT,
     EngineCache,
     clear_disk_cache,
     disk_cache_contents,
@@ -108,6 +109,41 @@ def test_corrupt_snapshot_rebuilds(tmp_path, config, weight):
     assert rebuilt.out_features == 6
     # The bad file was dropped and replaced by the fresh snapshot.
     assert reader.stats.disk_stores == 1
+
+
+def test_older_snapshot_format_rebuilds(tmp_path, config, weight, tiny_geniex):
+    """A snapshot written under an older format is a miss, never a restore.
+
+    Format 4 changed what a GENIEx handle stores (the transposed column
+    bias) and the sum order its programming-time gains were fitted
+    through, so a format-3 file must be rebuilt from scratch."""
+    import json
+
+    writer = EngineCache(disk=tmp_path)
+    built, _ = _build(weight, config, tiny_geniex, writer)
+    files, _ = disk_cache_contents(tmp_path)
+    assert len(files) == 1
+    with np.load(files[0]) as npz:
+        payload = {name: npz[name] for name in npz.files}
+    meta = json.loads(bytes(payload["__meta__"].tobytes()).decode())
+    assert meta["format"] == SNAPSHOT_FORMAT == 4
+    meta["format"] = 3
+    payload["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(files[0], "wb") as fh:
+        np.savez(fh, **payload)
+
+    reader = EngineCache(disk=tmp_path)
+    rebuilt, _ = _build(weight, config, tiny_geniex, reader)
+    assert reader.stats.disk_hits == 0
+    assert reader.stats.misses == 1
+    assert reader.stats.disk_errors == 1
+    # The stale file was replaced by a fresh current-format snapshot.
+    assert reader.stats.disk_stores == 1
+    with np.load(files[0]) as npz:
+        stored = json.loads(bytes(npz["__meta__"].tobytes()).decode())
+    assert stored["format"] == SNAPSHOT_FORMAT
+    vectors = np.random.default_rng(3).random((4, 10))
+    np.testing.assert_array_equal(built.matvec(vectors), rebuilt.matvec(vectors))
 
 
 def test_no_temp_files_left_behind(tmp_path, config, weight):

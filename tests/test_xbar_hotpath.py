@@ -5,7 +5,7 @@ equality) to the naive oracle of :mod:`repro.verify.oracle` for every
 Table-I preset, every predictor backend, with and without guard
 fallback and fault injection — that is the numerical contract of the
 hot-path optimizations (stream stacking, zero-row compaction, the
-compiled kernels and the blocked GENIEx evaluation).
+compiled kernels and the fused GENIEx deviation pass).
 """
 
 import numpy as np
@@ -99,21 +99,8 @@ class TestGoldenKernelEquality:
         assert engine.fault_summary.stuck_gmin + engine.fault_summary.stuck_gmax > 0
 
 
-class TestGENIExBlockModes:
-    def test_small_chunks_bitwise(self, tiny_geniex, rng):
-        """Forcing many tiny blocks must not change a single bit."""
-        config = make_tiny_crossbar_config()
-        weight = rng.normal(0, 0.4, size=(5, 12)).astype(np.float32)
-        engine = CrossbarEngine(weight, config, tiny_geniex)
-        bank = engine.banks[0]
-        voltages = rng.random((9, config.rows))
-        full = tiny_geniex.predict_from_bias(voltages, bank.handle)
-        blocked = tiny_geniex.predict_from_bias(voltages, bank.handle, chunk=2)
-        assert np.array_equal(full, blocked)
-
-
 class TestPredictorChunkContract:
-    """The satellite fix: every backend honors the ``chunk`` argument."""
+    """Any ``chunk`` row-block size gives the same bits."""
 
     def test_ideal_predictor_chunks_bitwise(self, rng):
         bias = rng.standard_normal((8, 6))
@@ -160,6 +147,100 @@ class TestCompiledKernels:
         i_frac = np.zeros((2, 3), dtype=np.float32)
         v_frac = np.zeros((2, 1), dtype=np.float32)
         assert _ckernels.poly_backbone(i_frac, v_frac, np.zeros(5)) is None
+
+    def test_kernel_library_builds_with_target_clones(self, tmp_path, monkeypatch):
+        """The kernel source — ``target_clones`` dispatch included —
+        must compile on any host with a C compiler: a compiler that
+        rejected the attribute would silently drop *every* kernel back
+        to numpy.  The library exports the fused deviation pass and no
+        longer the retired pre-activation kernel."""
+        import shutil
+
+        from repro.xbar import _ckernels
+
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler in this environment")
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
+        lib = _ckernels._compile()
+        assert lib is not None, "kernel source failed to compile"
+        assert "target_clones" in _ckernels._SOURCE
+        assert hasattr(lib, "fused_deviation")
+        assert not hasattr(lib, "fused_bias_relu")
+
+    @staticmethod
+    def _deviation_pair(geniex, hv, bias_t, monkeypatch):
+        """(compiled, numpy) outputs of the GENIEx hidden->output pass."""
+        from repro.xbar import _ckernels
+
+        compiled = geniex._deviation(hv, bias_t)
+        with monkeypatch.context() as m:
+            m.setattr(_ckernels, "available", lambda: False)
+            pure = geniex._deviation(hv, bias_t)
+        return compiled, pure
+
+    @pytest.mark.parametrize("cols", [1, 7, 48, 193])
+    @pytest.mark.parametrize("n", [0, 1, 13])
+    def test_fused_deviation_matches_numpy_order(self, cols, n, monkeypatch):
+        """Compiled and in-order numpy deviation sums agree bit for bit,
+        across vector tails (``cols`` not a multiple of the SIMD width),
+        an empty batch, and NaN / -0.0 pre-activations."""
+        from repro.xbar import _ckernels
+
+        if not _ckernels.available():
+            pytest.skip("no C compiler in this environment")
+        geniex = load_or_train_geniex(crossbar_preset("32x32_100k"))
+        hidden = geniex.w2.size
+        local = np.random.default_rng(cols * 31 + n)
+        hv = local.standard_normal((n, hidden)).astype(np.float32)
+        bias_t = local.standard_normal((hidden, cols)).astype(np.float32)
+        compiled, pure = self._deviation_pair(geniex, hv, bias_t, monkeypatch)
+        assert compiled.shape == (n, cols) and compiled.dtype == np.float32
+        assert np.array_equal(compiled.view(np.uint32), pure.view(np.uint32))
+        if n == 0:
+            return
+        # -0.0 + -0.0 reaches the ReLU as -0.0; NaN propagates through it.
+        hv[0, :4] = -0.0
+        bias_t[:4, :] = -0.0
+        hv[-1, 5] = np.nan
+        bias_t[7, cols // 2] = np.nan
+        compiled, pure = self._deviation_pair(geniex, hv, bias_t, monkeypatch)
+        assert np.array_equal(np.isnan(compiled), np.isnan(pure))
+        assert np.isnan(compiled[-1]).all() and np.isnan(compiled[:, cols // 2]).all()
+        finite = ~np.isnan(pure)
+        assert np.array_equal(
+            compiled[finite].view(np.uint32), pure[finite].view(np.uint32)
+        )
+
+    def test_fused_deviation_rows_independent(self, rng):
+        """Each row of a batch equals that row evaluated alone."""
+        from repro.xbar import _ckernels
+
+        if not _ckernels.available():
+            pytest.skip("no C compiler in this environment")
+        geniex = load_or_train_geniex(crossbar_preset("32x32_100k"))
+        hidden = geniex.w2.size
+        hv = rng.standard_normal((37, hidden)).astype(np.float32)
+        bias_t = rng.standard_normal((hidden, 48)).astype(np.float32)
+        batch = geniex._deviation(hv, bias_t)
+        for i in range(hv.shape[0]):
+            single = geniex._deviation(hv[i : i + 1], bias_t)
+            assert np.array_equal(batch[i].view(np.uint32), single[0].view(np.uint32))
+
+    def test_deviation_within_float32_of_float64_sum(self, rng):
+        """The in-order float32 sum stays within the recursive-summation
+        error bound of an exact-order float64 evaluation of the layer."""
+        geniex = load_or_train_geniex(crossbar_preset("32x32_100k"))
+        hidden = geniex.w2.size
+        hv = rng.standard_normal((50, hidden)).astype(np.float32)
+        bias_t = rng.standard_normal((hidden, 48)).astype(np.float32)
+        pre = np.maximum(hv.astype(np.float64)[:, :, None] + bias_t[None], 0.0)
+        terms = geniex.w2.astype(np.float64)[None, :, None] * pre  # (n, H, C)
+        b2 = float(np.float32(geniex.b2))
+        want = terms.sum(axis=1) + b2
+        eps = float(np.finfo(np.float32).eps)
+        bound = (hidden + 3) * eps * (np.abs(terms).sum(axis=1) + abs(b2))
+        got = geniex._deviation(hv, bias_t)
+        assert np.all(np.abs(got - want) <= bound)
 
     def test_dequant_dots_matches_numpy_chain(self, rng):
         from repro.xbar import _ckernels
