@@ -136,11 +136,6 @@ echo
 echo "=== bench smoke: parallel backend (tiny profile) ==="
 REPRO_BENCH_PROFILE=tiny python scripts/bench_parallel.py
 
-echo
-echo "=== bench gate: serving layer (tiny profile) ==="
-# Asserts batching efficiency > 1 and response bit-identity vs serial
-# inference at 1/2/4 pool workers.
-REPRO_BENCH_PROFILE=tiny python scripts/bench_serve.py
 
 echo
 echo "=== bench gate: live telemetry overhead (tiny profile) ==="

@@ -139,8 +139,8 @@ def check_compaction_row_independence(
     positive- and negative-side maxima.  With those anchor rows pinned,
     every other row's bits must be identical inside the full batch and
     inside the minimal anchored subset — the property stream stacking
-    and zero-row compaction rely on, and the one BLAS-backed predictors
-    violated before the row-stable matmul fix (see
+    and zero-row compaction rely on, and the one predictors violated
+    while their matmuls were plain BLAS GEMMs (see
     :mod:`repro.xbar.numerics`).
     """
     engine = _engine(weight, config, predictor)

@@ -18,8 +18,9 @@ contract rather than of the implementation under test:
 * the **column predictor** itself (``prepare_crossbar`` /
   ``concat_bias`` / ``predict_from_bias``) — the analog backend is the
   function being wrapped, not a fast path.  Predictors promise
-  per-row batch independence (their batch matmuls route through
-  :func:`repro.xbar.numerics.row_stable_matmul`); the oracle leans on
+  per-row batch independence (their batch matmuls are the fixed
+  ascending-K sum of :func:`repro.xbar.numerics.row_stable_matmul`,
+  compiled or numpy alike); the oracle leans on
   that promise when the engine regroups rows (stream stacking,
   zero-row compaction), and the compaction invariants test it;
 * ``np.matmul`` for the guard's ideal digital fallback and the

@@ -6,20 +6,23 @@ at a fraction of memory speed.  The kernels here replace those chains
 with tiny C loops compiled at first use with the system compiler (no
 third-party dependency: ctypes + ``cc``), under strict IEEE semantics:
 
+* ``row_matmul_f32`` / ``row_matmul_f64`` — the predictors' row-stable
+  matmul, ``out[i,j] = sum_k a[i,k] * b[k,j]`` summed from +0 over
+  ascending ``k`` with zero drives skipped, vectorized across columns
+  only in register-held 32-column blocks (one C body for both dtypes);
 * ``fused_deviation`` — the GENIEx hidden->output layer,
   ``out[i,c] = sum_h w2[h] * relu(hv[i,h] + bias_t[h,c]) + b2``, summed
   over ``h`` in ascending order and vectorized across columns only, so
-  each output is a fixed float32 operation sequence; an AVX2 clone is
-  selected at load time on x86-64 (``target_clones``);
+  each output is a fixed float32 operation sequence;
 * ``poly_backbone`` — the five-term GENIEx polynomial backbone with the
   exact association order of the numpy expression, in one pass and
   without the chain of float64 temporaries;
 * ``geniex_tail`` — the post-MLP GENIEx chain (denormalize, add the
-  backbone, subtract from the ideal current) in one pass;
+  backbone, subtract from the ideal current) in one vectorized pass;
 * ``dequant_dots`` — the float path's ADC quantization, dummy-column
   subtraction and column weighting, fused with the guard's health probe;
 * ``adc_codes`` — the int8 path's ADC read-out to int32 codes, fused
-  with the same health probe;
+  with the same health probe, branch-free so it vectorizes;
 * ``axpy2d`` / ``int_axpy`` — shift-and-add of one stream or plane
   block into the float or int64 accumulator;
 * ``int_dot`` — exact int32 x int32 -> int64 GEMM for guard fallbacks.
@@ -28,7 +31,9 @@ Bit-identity is the contract: compilation uses ``-ffp-contract=off``
 and ``-fno-fast-math`` so every add/multiply rounds exactly like the
 corresponding numpy ufunc, the ReLU reproduces ``np.maximum``'s
 ``-0.0``/NaN behavior, and the golden regression tests compare the
-compiled and pure-numpy paths bit for bit.
+compiled and pure-numpy paths bit for bit.  The vectorized kernels
+(marked ``CLONES``) get an AVX2 clone picked at load time on x86-64
+(``target_clones``); it runs the same per-element operation sequence.
 
 If no compiler is present (or ``REPRO_XBAR_CKERNELS=0``), everything
 transparently falls back to the numpy implementations — the kernels are
@@ -52,13 +57,95 @@ _SOURCE = r"""
  * rounds exactly once, like the numpy ufunc chain it replaces. */
 
 #include <math.h>
+#include <float.h>
+#include <stdint.h>
+#include <string.h>
 
 /* Portable ISA dispatch: the loader picks the AVX2 clone where the CPU
- * has it.  Each output is the same ordered float32 sum either way, so
- * the clones agree bit for bit. */
+ * has it.  Every output is the same ordered IEEE operation sequence in
+ * either clone, so the clones agree bit for bit.  (The macro expands
+ * right before a function definition: an attribute written before a
+ * typedef would attach to the typedef and silently drop the clones.) */
 #if defined(__x86_64__) && defined(__GNUC__)
-__attribute__((target_clones("avx2", "default")))
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define CLONES
 #endif
+
+/* 32-byte generic vectors: one AVX2 register each, two SSE2 halves in
+ * the default clone.  Explicit vector types keep the accumulators in
+ * registers, where GCC leaves a plain array-of-floats block scalar. */
+typedef float vec_f32 __attribute__((vector_size(32)));
+typedef double vec_f64 __attribute__((vector_size(32)));
+
+/* Columns per register-held accumulator block of row_matmul. */
+#define MATMUL_BLOCK 32
+
+/* out[i,j] = sum_k a[i,k] * b[k,j], the sum starting at +0 and running
+ * over k in ascending order; a zero drive a[i,k] == 0 (either sign)
+ * contributes nothing, so inf/NaN in b behind it never reaches the
+ * sum.  The driven k of each row go into a branch-free index list
+ * (``idx`` holds k entries), then only the column loop is vectorized:
+ * MATMUL_BLOCK columns in independent vector accumulators, then single
+ * vectors, then scalars.  Every output is one fixed operation sequence
+ * of its own row, whichever loop computes it, so the product is
+ * row-stable and ISA-independent. */
+#define ROW_MATMUL(NAME, T, V, U)                                             \
+CLONES void NAME(const T *restrict a, const T *restrict b, T *restrict out,   \
+                 long *restrict idx, long n, long k, long cols)               \
+{                                                                             \
+    enum { LANES = sizeof(V) / sizeof(T), NV = MATMUL_BLOCK / LANES };        \
+    for (long i = 0; i < n; ++i) {                                            \
+        const T *ai = a + i * k;                                              \
+        T *o = out + i * cols;                                                \
+        long m = 0;                                                           \
+        for (long p = 0; p < k; ++p) {                                        \
+            /* a != 0 as an integer test (+-0 are the only values with */     \
+            /* every bit but the sign clear): cheaper than ucomiss     */     \
+            U bits;                                                           \
+            memcpy(&bits, ai + p, sizeof bits);                               \
+            idx[m] = p;                                                       \
+            m += (U)(bits << 1) != 0;                                         \
+        }                                                                     \
+        long j = 0;                                                           \
+        for (; j + MATMUL_BLOCK <= cols; j += MATMUL_BLOCK) {                 \
+            V acc[NV];                                                        \
+            for (int v = 0; v < NV; ++v)                                      \
+                acc[v] = (V){0};                                              \
+            for (long q = 0; q < m; ++q) {                                    \
+                const T x = ai[idx[q]];                                       \
+                const T *bp = b + idx[q] * cols + j;                          \
+                for (int v = 0; v < NV; ++v) {                                \
+                    V bv;                                                     \
+                    memcpy(&bv, bp + v * LANES, sizeof bv);                   \
+                    acc[v] = acc[v] + x * bv;                                 \
+                }                                                             \
+            }                                                                 \
+            for (int v = 0; v < NV; ++v)                                      \
+                memcpy(o + j + v * LANES, &acc[v], sizeof acc[v]);            \
+        }                                                                     \
+        for (; j + LANES <= cols; j += LANES) {                               \
+            V acc = (V){0};                                                   \
+            for (long q = 0; q < m; ++q) {                                    \
+                V bv;                                                         \
+                memcpy(&bv, b + idx[q] * cols + j, sizeof bv);                \
+                acc = acc + ai[idx[q]] * bv;                                  \
+            }                                                                 \
+            memcpy(o + j, &acc, sizeof acc);                                  \
+        }                                                                     \
+        for (; j < cols; ++j) {                                               \
+            T acc = 0;                                                        \
+            for (long q = 0; q < m; ++q)                                      \
+                acc = acc + ai[idx[q]] * b[idx[q] * cols + j];                \
+            o[j] = acc;                                                       \
+        }                                                                     \
+    }                                                                         \
+}
+
+ROW_MATMUL(row_matmul_f32, float, vec_f32, uint32_t)
+ROW_MATMUL(row_matmul_f64, double, vec_f64, uint64_t)
+
+CLONES
 void fused_deviation(const float *restrict hv, const float *restrict bias_t,
                      const float *restrict w2, float b2, float *restrict out,
                      long n, long cols, long hidden)
@@ -110,6 +197,7 @@ void poly_backbone(const float *i_frac, const float *v_frac,
     }
 }
 
+CLONES
 void geniex_tail(const float *ideal, const float *dev, const float *v_frac,
                  const double *c, double *out, long n, long cols,
                  float inorm32, float std32, float mean32, double inorm)
@@ -192,8 +280,9 @@ void axpy2d(double *dst, const double *src, double a, long n, long w,
     }
 }
 
-int adc_codes(const double *cur, int *out, long total, double hi, double lsb,
-              int check, double sat_limit)
+CLONES
+int adc_codes(const double *restrict cur, int *restrict out, long total,
+              double hi, double lsb, int check, double sat_limit)
 {
     /* Integer ADC read-out: out = rint(clip(cur, 0, full_scale) / lsb)
      * as int32 codes.  A non-finite current reads back as code 0 — a
@@ -201,19 +290,23 @@ int adc_codes(const double *cur, int *out, long total, double hi, double lsb,
      * reach the integer accumulators (the guard handles sick tiles).
      *
      * With check set, the same pass is the tile-health probe of
-     * dequant_dots: it returns 1 at the first sick current (non-finite
-     * or above sat_limit), leaving ``out`` partly written — the caller
-     * then reruns the bank through the per-plane guard chain. */
+     * dequant_dots: the result is 1 when any current is sick
+     * (non-finite or above sat_limit) — the caller then discards
+     * ``out`` and reruns the bank through the per-plane guard chain.
+     * The flag is an OR over the whole pass, not an early exit, so the
+     * loop has no branch and vectorizes. */
+    int sick = 0;
     for (long i = 0; i < total; ++i) {
         double q = cur[i];
-        if (check && (!isfinite(q) || fabs(q) > sat_limit))
-            return 1;
-        if (!isfinite(q)) { out[i] = 0; continue; }
+        double mag = fabs(q);
+        int finite = mag <= DBL_MAX;
+        sick |= !finite | (mag > sat_limit);
         double t = q < 0.0 ? 0.0 : q;
         t = t > hi ? hi : t;
+        t = finite ? t : 0.0;
         out[i] = (int)rint(t / lsb);
     }
-    return 0;
+    return check && sick;
 }
 
 void int_axpy(long long *dst, const int *src, long long a, long n, long w,
@@ -290,6 +383,11 @@ def _compile() -> ctypes.CDLL | None:
             return None
         os.replace(tmp, so_path)  # atomic vs. concurrent builders
     lib = ctypes.CDLL(str(so_path))
+    for name in ("row_matmul_f32", "row_matmul_f64"):
+        getattr(lib, name).argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        ]
     lib.fused_deviation.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float,
         ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
@@ -341,6 +439,39 @@ def available() -> bool:
             except Exception:
                 _lib = None
     return _lib is not None
+
+
+_ROW_MATMUL = {np.dtype(np.float32): "row_matmul_f32", np.dtype(np.float64): "row_matmul_f64"}
+
+
+def row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> bool:
+    """``out = a @ b`` in the row-stable order, straight into ``out``.
+
+    ``out[i, j] = sum_k a[i, k] * b[k, j]`` with the sum starting at +0
+    over ascending ``k`` and zero-drive entries (``a[i, k] == 0``)
+    skipped — the order of the numpy fallback in
+    :func:`repro.xbar.numerics.row_stable_matmul`.  Returns False
+    (without touching ``out``) when the compiled library is unavailable
+    or the operands are not same-dtype float32/float64 C-contiguous.
+    """
+    if not available():
+        return False
+    name = _ROW_MATMUL.get(out.dtype)
+    n, k = a.shape
+    cols = b.shape[1]
+    if not (
+        name is not None and a.dtype == out.dtype and b.dtype == out.dtype
+        and b.shape[0] == k and out.shape == (n, cols)
+        and a.flags.c_contiguous and b.flags.c_contiguous
+        and out.flags.c_contiguous
+    ):
+        return False
+    idx = np.empty(k, dtype=np.int64)
+    getattr(_lib, name)(
+        a.ctypes.data, b.ctypes.data, out.ctypes.data, idx.ctypes.data,
+        n, k, cols,
+    )
+    return True
 
 
 def fused_deviation(

@@ -76,7 +76,10 @@ _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 #: Format 4: GENIEx handles store the column bias transposed (``bias_t``)
 #: and programming-time gains are fitted through the in-order fused
 #: deviation sum (format 3 gains carry the old BLAS sum order).
-SNAPSHOT_FORMAT = 4
+#: Format 5: programming-time gains are fitted through the ascending-K
+#: row-stable matmul (format 4 gains carry the BLAS sgemv sum order of
+#: the ideal and hidden-layer products).
+SNAPSHOT_FORMAT = 5
 
 
 def resolve_disk_dir(override: "str | os.PathLike | None" = None) -> Path | None:

@@ -131,11 +131,10 @@ class GENIEx:
         self.metrics = metrics or {}
         # Voltage half of the first layer vs. the conductance-plus-extras
         # half (the latter folds into the precomputed column bias).
-        # Contiguous copies, not views: pickling materializes views as
-        # contiguous arrays, and strided vs. contiguous GEMM inputs can
-        # differ in the last bit — parent and pool workers must feed
-        # BLAS identically-laid-out operands to stay bit-identical.
-        self._w1v = np.ascontiguousarray(self.w1[:, :rows])  # (H, R)
+        # Contiguous copies, not views, so the per-call products read
+        # them in place: the voltage half is stored transposed, (R, H),
+        # the right-hand operand layout of the row-stable ``hv`` matmul.
+        self._w1v = np.ascontiguousarray(self.w1[:, :rows].T)  # (R, H)
         self._w1g = np.ascontiguousarray(self.w1[:, rows:])  # (H, R + EXTRA)
         self._i_norm = rows * device.g_max * device.v_read
 
@@ -199,7 +198,7 @@ class GENIEx:
             # Stored (H, C) so the deviation pass reads each hidden
             # unit's column constants contiguously.
             bias_t=np.ascontiguousarray(bias[:used].T, dtype=np.float32),
-            conductances=np.asarray(conductances[:, :used], dtype=np.float32),
+            conductances=np.ascontiguousarray(conductances[:, :used], dtype=np.float32),
         )
 
     def column_bias(self, conductances: np.ndarray) -> _BankHandle:
@@ -236,11 +235,11 @@ class GENIEx:
         v32 = np.asarray(voltages, dtype=np.float32)
         # The simulator's stacked/compacted fast paths require every
         # row's currents to be a pure function of that row, so the two
-        # batch matmuls use the row-stable form (plain GEMM rounds the
-        # same row differently in different-size batches).
+        # batch matmuls use the row-stable ascending-K sum (plain GEMM
+        # rounds the same row differently in different-size batches).
         ideal = row_stable_matmul(v32, handle.conductances)  # exact digital term, (B, C)
         v_norm = v32 / np.float32(self.device.v_read)
-        hv = row_stable_matmul(v_norm, self._w1v.T)  # (B, H)
+        hv = row_stable_matmul(v_norm, self._w1v)  # (B, H)
         deviation = self._deviation(hv, handle.bias_t)
         v_frac = v_norm.mean(axis=1, keepdims=True)
         fused = _ckernels.geniex_tail(

@@ -13,26 +13,45 @@ amplifies it to ~1e6 ULP on the recovered dot products (surfaced by the
 differential oracle harness in :mod:`repro.verify`).
 
 Every batch matmul on the engines' per-row numerical contract therefore
-goes through :func:`row_stable_matmul`.
+goes through :func:`row_stable_matmul`, whose summation order is part
+of the spec rather than left to a library.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.xbar import _ckernels
+
 
 def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` whose per-row results do not depend on the batch.
 
-    Evaluates the product as a stacked ``(B, 1, K) @ (K, N)`` matmul:
-    NumPy lowers every batch element through an identical single-row
-    BLAS call, so row ``i`` of the result is a pure function of
-    ``a[i]`` and ``b``.  Costs ~1.3-2.5x a single GEMM on the shapes
-    the engines use; the compaction wins that row stability enables
-    more than pay for it.
+    The spec is the ascending-K sum: ``out[i, j] = sum_k a[i, k] *
+    b[k, j]``, starting at +0 and adding one rounded product per ``k``
+    in ascending order, in ``result_type(a, b)``.  A zero drive
+    (``a[i, k] == 0``, either sign) contributes nothing — not even the
+    NaN of ``0 * inf`` — the per-cell form of "no drive, no current".
+    Row ``i`` of the result is a fixed operation sequence of ``a[i]``
+    and ``b`` alone.  The compiled kernel skips the zero drives and
+    vectorizes across columns only; the numpy loop below runs the same
+    order and agrees with it bit for bit.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"expected 2-D operands, got {a.shape} @ {b.shape}")
-    return np.matmul(a[:, None, :], b)[:, 0]
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    dtype = np.result_type(a, b)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=dtype)
+    if _ckernels.row_matmul(
+        np.ascontiguousarray(a, dtype=dtype), np.ascontiguousarray(b, dtype=dtype), out
+    ):
+        return out
+    out.fill(0)
+    with np.errstate(invalid="ignore"):  # 0 * inf under a zero drive is masked
+        for k in range(a.shape[1]):
+            drive = a[:, k, None]
+            out += np.where(drive != 0, drive * b[k], 0)
+    return out

@@ -103,7 +103,7 @@ class IdealPredictor:
     def prepare_crossbar(conductances: np.ndarray, used_cols: int | None = None) -> np.ndarray:
         g = np.asarray(conductances, dtype=np.float64)
         used = g.shape[1] if used_cols is None else used_cols
-        return g[:, :used]
+        return np.ascontiguousarray(g[:, :used])
 
     def column_bias(self, conductances: np.ndarray) -> np.ndarray:
         return self.prepare_crossbar(conductances)
@@ -115,9 +115,9 @@ class IdealPredictor:
     @staticmethod
     def predict_from_bias(voltages: np.ndarray, column_bias: np.ndarray, chunk: int = 8192) -> np.ndarray:
         # The row-stable form makes the protocol's per-row contract
-        # actually hold: each output row is computed by an identical
-        # single-row BLAS call, so batching (and the engine's stream
-        # stacking / zero-row compaction) never changes a row's bits.
+        # actually hold: each output row is one fixed ascending-K sum of
+        # its own drives, so batching (and the engine's stream stacking
+        # / zero-row compaction) never changes a row's bits.
         return row_stable_matmul(np.asarray(voltages), column_bias)
 
 
@@ -777,9 +777,9 @@ class CrossbarEngine:
         names their perf counters).  All non-zero planes stack along the
         batch axis into one ``(rows_kept, rows)`` voltage matrix.  Every
         backend computes output rows independently (its batch matmuls
-        route through :func:`repro.xbar.numerics.row_stable_matmul` —
-        plain BLAS GEMM is *not* row-stable), so stacking never changes
-        a row's bits.
+        are :func:`repro.xbar.numerics.row_stable_matmul`'s fixed
+        ascending-K sum — plain BLAS GEMM is *not* row-stable), so
+        stacking never changes a row's bits.
 
         All-zero *rows* within an evaluated plane are compacted away
         before the call: a row with no drive has no source, so it draws

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.attacks.base import predict_logits
 from repro.parallel.backend import parallel_backend
-from repro.serve import AnalogServer, ModelRegistry, ServeConfig, TenantSpec
+from repro.serve import AnalogServer, ModelRegistry, ServeConfig, TenantSpec, run_load
 from repro.xbar.simulator import CrossbarEngine, IdealPredictor
 from tests.conftest import make_tiny_crossbar_config
 
@@ -220,4 +220,31 @@ def test_sharded_serving_is_bit_identical(workers, serving) -> None:
             result.logits,
             reference[MODELS[i % 2]][i % len(images)],
             err_msg=f"workers={workers} request {i}",
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_closed_loop_load_completes_coalesced_and_bit_identical(
+    workers, serving
+) -> None:
+    """Closed-loop clients interleaving both tenants: every request
+    completes, the micro-batcher coalesces (efficiency > 1), and every
+    response equals serial inference, with and without pool sharding."""
+    registry, images, reference = serving
+
+    async def scenario():
+        config = ServeConfig(max_batch=8, max_wait_us=2_000.0, queue_limit=64)
+        async with AnalogServer(registry, config) as server:
+            return await run_load(
+                server, list(MODELS), images, clients=4, requests_per_client=8
+            )
+
+    with parallel_backend(workers):
+        report = asyncio.run(scenario())
+    assert report.completed == report.requests == 32
+    assert report.batching_efficiency > 1.0
+    for model, image_index, result in report.responses:
+        np.testing.assert_array_equal(
+            result.logits, reference[model][image_index],
+            err_msg=f"workers={workers} {model} image {image_index}",
         )

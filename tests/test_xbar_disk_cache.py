@@ -114,9 +114,9 @@ def test_corrupt_snapshot_rebuilds(tmp_path, config, weight):
 def test_older_snapshot_format_rebuilds(tmp_path, config, weight, tiny_geniex):
     """A snapshot written under an older format is a miss, never a restore.
 
-    Format 4 changed what a GENIEx handle stores (the transposed column
-    bias) and the sum order its programming-time gains were fitted
-    through, so a format-3 file must be rebuilt from scratch."""
+    Format 5 changed the sum order of the predictors' ideal and
+    hidden-layer products that programming-time gains are fitted
+    through, so a format-4 file must be rebuilt from scratch."""
     import json
 
     writer = EngineCache(disk=tmp_path)
@@ -126,8 +126,8 @@ def test_older_snapshot_format_rebuilds(tmp_path, config, weight, tiny_geniex):
     with np.load(files[0]) as npz:
         payload = {name: npz[name] for name in npz.files}
     meta = json.loads(bytes(payload["__meta__"].tobytes()).decode())
-    assert meta["format"] == SNAPSHOT_FORMAT == 4
-    meta["format"] = 3
+    assert meta["format"] == SNAPSHOT_FORMAT == 5
+    meta["format"] = 4
     payload["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with open(files[0], "wb") as fh:
         np.savez(fh, **payload)

@@ -131,11 +131,12 @@ class TestRowStability:
     The vectorized engine kernel stacks bit-streams into one batch and
     compacts away undriven rows, so a row's currents must not depend on
     which batch it rides in.
-    BLAS GEMM breaks that silently — it picks different micro-kernels
-    (different SIMD accumulation splits) depending on the row count —
-    which is exactly the regression this guards against: large-batch
-    results drifted from single-row results by >1e5 ULP until the
-    matmuls moved to the row-stable stacked form.
+    A plain BLAS GEMM breaks that silently — it picks different
+    micro-kernels (different SIMD accumulation splits) depending on the
+    row count — which is exactly the regression this guards against:
+    large-batch results drifted from single-row results by >1e5 ULP
+    until the matmuls moved to the row-stable form, now a fixed
+    ascending-K sum per output (:mod:`repro.xbar.numerics`).
     """
 
     def test_rows_independent_of_batch_size(self, tiny_geniex, rng):

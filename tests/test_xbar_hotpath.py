@@ -152,8 +152,9 @@ class TestCompiledKernels:
         """The kernel source — ``target_clones`` dispatch included —
         must compile on any host with a C compiler: a compiler that
         rejected the attribute would silently drop *every* kernel back
-        to numpy.  The library exports the fused deviation pass and no
-        longer the retired pre-activation kernel."""
+        to numpy.  The library exports the fused deviation pass and the
+        row-stable matmul in both dtypes, and no longer the retired
+        pre-activation kernel."""
         import shutil
 
         from repro.xbar import _ckernels
@@ -165,7 +166,125 @@ class TestCompiledKernels:
         assert lib is not None, "kernel source failed to compile"
         assert "target_clones" in _ckernels._SOURCE
         assert hasattr(lib, "fused_deviation")
+        assert hasattr(lib, "row_matmul_f32") and hasattr(lib, "row_matmul_f64")
         assert not hasattr(lib, "fused_bias_relu")
+
+    @staticmethod
+    def _row_matmul_pair(a, b, monkeypatch):
+        """(compiled, numpy) outputs of the row-stable matmul."""
+        from repro.xbar import _ckernels
+        from repro.xbar.numerics import row_stable_matmul
+
+        compiled = row_stable_matmul(a, b)
+        with monkeypatch.context() as m:
+            m.setattr(_ckernels, "available", lambda: False)
+            pure = row_stable_matmul(a, b)
+        return compiled, pure
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 32, 64])
+    @pytest.mark.parametrize("cols", [1, 7, 8, 31, 32, 33, 48, 193])
+    @pytest.mark.parametrize("n", [0, 1, 13])
+    def test_row_matmul_matches_numpy_order(self, dtype, k, cols, n, monkeypatch):
+        """Compiled and in-order numpy ascending-K sums agree bit for bit
+        across column tails (32-column blocks, single vectors, scalars),
+        an empty batch, +0/-0 drives, and inf/NaN weights behind a zero
+        drive, which must not reach the sum."""
+        from repro.xbar import _ckernels
+
+        if not _ckernels.available():
+            pytest.skip("no C compiler in this environment")
+        local = np.random.default_rng(k * 1000 + cols * 31 + n)
+        a = local.standard_normal((n, k)).astype(dtype)
+        a[local.random((n, k)) < 0.55] = 0.0  # the int8 banks' drive density
+        b = local.standard_normal((k, cols)).astype(dtype)
+        if n:
+            a[0, 0] = -0.0
+            a[-1, k - 1] = 0.0
+            b[k - 1, :] = np.inf
+            b[k - 1, 0] = np.nan
+        compiled, pure = self._row_matmul_pair(a, b, monkeypatch)
+        assert compiled.shape == (n, cols) and compiled.dtype == dtype
+        assert compiled.flags.c_contiguous
+        assert np.array_equal(compiled.view(np.uint8), pure.view(np.uint8))
+        if n:
+            # Zero drive masks the inf/NaN weight row; a driven row sees it.
+            assert np.isfinite(compiled[-1]).all()
+            if a[0, k - 1] != 0:
+                assert np.isnan(compiled[0, 0])
+            # An undriven row reads +0, never -0.
+            silent = np.zeros((1, k), dtype=dtype)
+            silent[0, 0] = -0.0
+            zero, _ = self._row_matmul_pair(silent, b, monkeypatch)
+            assert not np.signbit(zero).any() and not zero.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_matmul_rows_independent(self, dtype, rng):
+        """Each row of a batch equals that row computed alone."""
+        from repro.xbar.numerics import row_stable_matmul
+
+        a = rng.standard_normal((37, 32)).astype(dtype)
+        a[rng.random(a.shape) < 0.55] = 0.0
+        b = rng.standard_normal((32, 96)).astype(dtype)
+        batch = row_stable_matmul(a, b)
+        for i in range(a.shape[0]):
+            single = row_stable_matmul(a[i : i + 1], b)
+            assert np.array_equal(batch[i : i + 1].view(np.uint8), single.view(np.uint8))
+
+    def test_row_matmul_within_float32_of_float64_sum(self, rng):
+        """The ascending-K float32 sum stays within the recursive-summation
+        error bound of a float64 evaluation of the same products."""
+        from repro.xbar.numerics import row_stable_matmul
+
+        a = rng.standard_normal((50, 32)).astype(np.float32)
+        a[rng.random(a.shape) < 0.55] = 0.0
+        b = rng.standard_normal((32, 48)).astype(np.float32)
+        want = a.astype(np.float64) @ b.astype(np.float64)
+        eps = float(np.finfo(np.float32).eps)
+        bound = (a.shape[1] + 1) * eps * (np.abs(a).astype(np.float64) @ np.abs(b))
+        assert np.all(np.abs(row_stable_matmul(a, b) - want) <= bound)
+
+    def test_adc_codes_matches_numpy_rule(self, rng):
+        """Branch-free ADC read-out: codes equal ``rint(clip(I, 0, fs) /
+        lsb)`` with non-finite currents at code 0, and the health flag
+        is an OR over the whole pass under every ``sat_limit``."""
+        from repro.xbar import _ckernels
+
+        if not _ckernels.available():
+            pytest.skip("no C compiler in this environment")
+        full_scale = 0.004
+        lsb = full_scale / 255
+        cur = rng.normal(full_scale / 2, full_scale, size=(9, 13))
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, full_scale,
+                    np.nextafter(full_scale, np.inf), full_scale * 3, -full_scale]
+        cur[4, :9] = specials
+
+        def expected(c):
+            q = np.rint(np.clip(c, 0.0, full_scale) / lsb)
+            q[~np.isfinite(c)] = 0.0
+            return q.astype(np.int32)
+
+        out = np.empty(cur.shape, dtype=np.int32)
+        assert _ckernels.adc_codes(cur, out, full_scale=full_scale, lsb=lsb) is False
+        assert np.array_equal(out, expected(cur))
+        assert out[4, 5] == out[4, 6] == out[4, 7] == 255
+        assert not out[4, :5].any()
+        # sat_limit=inf flags only the non-finite currents...
+        assert _ckernels.adc_codes(cur, out, full_scale=full_scale, lsb=lsb, sat_limit=np.inf)
+        healthy = np.where(np.isfinite(cur), cur, 0.0)
+        assert not _ckernels.adc_codes(
+            healthy, out, full_scale=full_scale, lsb=lsb, sat_limit=np.inf
+        )
+        assert np.array_equal(out, expected(healthy))
+        # ...a finite limit also flags |I| above it, wherever it sits.
+        limit = float(np.abs(healthy).max())
+        assert not _ckernels.adc_codes(
+            healthy, out, full_scale=full_scale, lsb=lsb, sat_limit=limit
+        )
+        healthy[-1, -1] = -2 * limit
+        assert _ckernels.adc_codes(
+            healthy, out, full_scale=full_scale, lsb=lsb, sat_limit=limit
+        )
 
     @staticmethod
     def _deviation_pair(geniex, hv, bias_t, monkeypatch):
@@ -341,19 +460,19 @@ class TestPerfCounters:
 class TestLargeBatchCompaction:
     """Regression: GENIEx stacked/compacted evaluation vs. the oracle.
 
-    With enough stacked rows the predictor's BLAS matmuls used to switch
-    micro-kernels, so the stacked kernel (one big packed batch of the
-    driven rows) drifted from a per-stream evaluation
+    With enough stacked rows the predictor's matmuls, then plain BLAS
+    GEMMs, switched micro-kernels, so the stacked kernel (one big packed
+    batch of the driven rows) drifted from a per-stream evaluation
     (one ``(n, rows)`` call per stream, as the oracle makes) by ~1e6 ULP
     after dequantization.  Surfaced by the differential oracle harness;
-    fixed by making the predictor matmuls row-stable (see
-    repro.xbar.numerics).
+    fixed by making the predictor matmuls row-stable: each output is a
+    fixed ascending-K sum (see repro.xbar.numerics).
     """
 
     def test_geniex_bitwise_single_row(self, tiny_geniex):
-        """n=1 is the smallest reproduction: the oracle's per-stream
-        single-row predictor calls take BLAS's gemv dispatch while the
-        stacked kernel's two-row batch takes gemm."""
+        """n=1 is the smallest reproduction: under BLAS, the oracle's
+        per-stream single-row predictor calls took the gemv dispatch
+        while the stacked kernel's two-row batch took gemm."""
         rng = np.random.default_rng(0)
         weight = rng.normal(size=(7, 10)).astype(np.float32)
         x = rng.random((1, 10))
