@@ -35,9 +35,41 @@ import re
 import threading
 from collections import deque
 
-#: Bucket-combine operators per series kind.
+def _exact_add(partials: list, x: float) -> list:
+    """``partials + [x]`` as a non-overlapping float expansion, exactly.
+
+    Shewchuk's summation (the algorithm behind :func:`math.fsum`): the
+    returned partials sum exactly to ``sum(partials) + x``, so their
+    ``fsum`` is the correctly rounded total in any arrival order.  Once
+    a non-finite term arrives the bucket collapses to one IEEE value,
+    whose ``inf``/``nan`` outcome is order-independent as well.
+    """
+    if not (math.isfinite(x) and all(map(math.isfinite, partials))):
+        return [sum(partials) + x]
+    out = []
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            out.append(lo)
+        x = hi
+    out.append(x)
+    return out
+
+
+def _exact_merge(a: list, b: list) -> list:
+    for x in b:
+        a = _exact_add(a, x)
+    return a
+
+
+#: Bucket-combine operators per series kind.  A ``sum`` bucket holds
+#: its exact partials (see :func:`_exact_add`): plain float addition is
+#: not associative, so merged shards would round differently by order.
 _COMBINE = {
-    "sum": lambda a, b: a + b,
+    "sum": _exact_merge,
     "max": max,
     "min": min,
 }
@@ -74,6 +106,13 @@ class RingBuffer:
     def _bucket(self, t: float) -> float:
         return math.floor(t / self.resolution_s) * self.resolution_s
 
+    def _term(self, value: float):
+        """One observation in this kind's bucket representation."""
+        return [value] if self.kind == "sum" else value
+
+    def _read(self, term) -> float:
+        return math.fsum(term) if self.kind == "sum" else term
+
     def record(self, value: float, t: float) -> None:
         """Fold one observation at wall time ``t`` into its bucket.
 
@@ -82,38 +121,38 @@ class RingBuffer:
         window, and are dropped when older than the window — a bounded
         store cannot resurrect evicted history.
         """
-        value = float(value)
+        term = self._term(float(value))
         bucket = self._bucket(t)
         combine = _COMBINE[self.kind]
         points = self._points
         if points and bucket <= points[-1][0]:
             for point in reversed(points):
                 if point[0] == bucket:
-                    point[1] = combine(point[1], value)
+                    point[1] = combine(point[1], term)
                     return
                 if point[0] < bucket:
                     break
             if points[0][0] < bucket:  # in-window gap: insert in order
-                items = sorted([*points, [bucket, value]])
+                items = sorted([*points, [bucket, term]])
                 points.clear()
                 points.extend(items)
             return
-        points.append([bucket, value])
+        points.append([bucket, term])
 
     # ------------------------------------------------------------------
     def points(self) -> list[tuple[float, float]]:
-        return [(t, v) for t, v in self._points]
+        return [(t, self._read(v)) for t, v in self._points]
 
     def values(self) -> list[float]:
-        return [v for _t, v in self._points]
+        return [self._read(v) for _t, v in self._points]
 
     def last(self) -> float:
-        return self._points[-1][1] if self._points else float("nan")
+        return self._read(self._points[-1][1]) if self._points else float("nan")
 
     def window(self, now: float, seconds: float) -> list[float]:
         """Values of buckets younger than ``seconds`` (inclusive)."""
         cutoff = self._bucket(now) - seconds
-        return [v for t, v in self._points if t >= cutoff]
+        return [self._read(v) for t, v in self._points if t >= cutoff]
 
     def rate_per_s(self, now: float, seconds: float) -> float:
         """Windowed rate for ``sum`` series (events per second)."""
@@ -123,13 +162,26 @@ class RingBuffer:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Lossless JSON-ready state (see :meth:`restore`)."""
+        """Lossless JSON-ready state (see :meth:`restore`).
+
+        Each point is ``[t, value]``; a ``sum`` point appends its exact
+        partials so that merges stay exact.
+        """
         return {
             "kind": self.kind,
             "capacity": self.capacity,
             "resolution_s": self.resolution_s,
-            "points": [[t, v] for t, v in self._points],
+            "points": [
+                [t, self._read(v), list(v)] if self.kind == "sum" else [t, v]
+                for t, v in self._points
+            ],
         }
+
+    def _load_term(self, point: list):
+        """A snapshot point's bucket representation (exact for sums)."""
+        if self.kind == "sum":
+            return [float(x) for x in point[2]]
+        return float(point[1])
 
     @classmethod
     def restore(cls, state: dict) -> "RingBuffer":
@@ -138,8 +190,8 @@ class RingBuffer:
             capacity=int(state["capacity"]),
             resolution_s=float(state["resolution_s"]),
         )
-        for t, v in state["points"]:
-            buf._points.append([float(t), float(v)])
+        for point in state["points"]:
+            buf._points.append([float(point[0]), buf._load_term(point)])
         return buf
 
     def merge(self, state: dict) -> None:
@@ -151,9 +203,9 @@ class RingBuffer:
         the result.
         """
         combine = _COMBINE[self.kind]
-        merged: dict[float, float] = {t: v for t, v in self._points}
-        for t, v in state["points"]:
-            t, v = float(t), float(v)
+        merged: dict = {t: v for t, v in self._points}
+        for point in state["points"]:
+            t, v = float(point[0]), self._load_term(point)
             merged[t] = combine(merged[t], v) if t in merged else v
         self._points.clear()
         for t in sorted(merged)[-self.capacity :]:
@@ -164,8 +216,8 @@ class TimeSeriesStore:
     """Name-addressed ring buffers with a lossless merge path.
 
     Recording is guarded by one store-level lock: the serving layer's
-    inference lanes and the work-stealing queue publish series from
-    several threads, and a ring bucket fold is a multi-step mutation.
+    inference lanes publish series from several threads, and a ring
+    bucket fold is a multi-step mutation.
     """
 
     def __init__(self, capacity: int = 240, resolution_s: float = 1.0):

@@ -34,15 +34,6 @@ EVENT_SCHEMAS: dict[str, dict[str, tuple]] = {
     "gain_point": {"preset": (str,), "nf": NUMBER, "gain": NUMBER},
     "guard_trip": {"layer": (str,), "mode": (str,)},
     "parallel_map": {"fn": (str,), "shards": (int,), "workers": (int,)},
-    "queue_map": {
-        "fn": (str,),
-        "items": (int,),
-        "tasks": (int,),
-        "steals": (int,),
-        "resubmits": (int,),
-        "mode": (str,),
-        "workers": (int,),
-    },
     "drift_sync": {
         "layer": (str,),
         "epoch": (int,),

@@ -7,9 +7,9 @@ Public surface:
   serial).
 * :func:`~repro.parallel.backend.parallel_backend` — scoped installation
   for tests and library callers.
-* :mod:`~repro.parallel.queue` — the work-stealing scheduler the process
-  backend dispatches through (adaptive shard grouping, steal-on-idle,
-  straggler resubmission) plus the :class:`TaskQueue` futures facade.
+* :class:`~repro.parallel.backend.ProcessBackend` — one pool task per
+  shard; the executor's FIFO hands the next shard to whichever worker
+  goes idle, and results merge by shard index.
 * :mod:`~repro.parallel.scheduler` — the canonical shard plan and
   per-shard seed streams that make serial and parallel runs
   bit-identical.
@@ -29,32 +29,18 @@ from repro.parallel.backend import (
     set_backend,
     shutdown,
 )
-from repro.parallel.queue import (
-    QueuePolicy,
-    QueueStats,
-    TaskFuture,
-    TaskQueue,
-    WorkQueue,
-    policy_from_env,
-)
 from repro.parallel.scheduler import Shard, plan_shards, shard_seeds
 
 __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
-    "QueuePolicy",
-    "QueueStats",
     "SerialBackend",
     "Shard",
     "ShardTask",
-    "TaskFuture",
-    "TaskQueue",
-    "WorkQueue",
     "configure",
     "get_backend",
     "parallel_backend",
     "plan_shards",
-    "policy_from_env",
     "resolve_workers",
     "set_backend",
     "shard_seeds",

@@ -7,11 +7,13 @@ as lists of :class:`ShardTask` and handed to the installed backend:
 * :class:`SerialBackend` (default) runs every shard in order, in
   process — exactly the computation the code performed before this
   module existed.
-* :class:`ProcessBackend` ships shards to a persistent
-  ``ProcessPoolExecutor``.  The model is pickled **once** into a
-  shared-memory arena (:mod:`repro.parallel.shm`), so N workers map one
-  physical copy of the weights and programmed conductances.  Results
-  and telemetry are merged strictly in shard order, which together with
+* :class:`ProcessBackend` submits each shard as its own task to a
+  persistent ``ProcessPoolExecutor``, whose FIFO call queue hands the
+  next shard to whichever worker goes idle.  The model is pickled
+  **once** into a shared-memory arena (:mod:`repro.parallel.shm`), so
+  N workers map one physical copy of the weights and programmed
+  conductances.  Results and telemetry are merged strictly in shard
+  order whatever order the shards complete in, which together with
   the canonical shard plan and per-shard seed streams
   (:mod:`repro.parallel.scheduler`) makes parallel output bit-identical
   to serial output at any worker count.
@@ -35,7 +37,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.parallel import shm
-from repro.parallel.queue import QueuePolicy, WorkQueue
 
 logger = logging.getLogger(__name__)
 
@@ -157,7 +158,7 @@ def _merge_blob(model, blob: dict) -> None:
 class ProcessBackend(ExecutionBackend):
     """Persistent process pool over shared-memory model snapshots."""
 
-    def __init__(self, workers: int, policy: "QueuePolicy | None" = None):
+    def __init__(self, workers: int):
         if workers < 2:
             raise ValueError(f"ProcessBackend needs >= 2 workers, got {workers}")
         self.workers = workers
@@ -168,10 +169,6 @@ class ProcessBackend(ExecutionBackend):
         # emptied by invalidate()/close().
         self._handles: dict[int, tuple[object, shm.SharedHandle]] = {}
         self._broken = False
-        #: The scheduler.  Persistent with the backend, so its per-fn
-        #: latency EWMA survives across maps (warm pools live for the
-        #: whole process — see ``_POOLED``).
-        self.queue = WorkQueue(workers, policy=policy)
         # Serving lanes call run_tasks from multiple threads: pool/share
         # setup and telemetry merging need mutual exclusion (the P²
         # histogram replay in _merge_blob is stateful).
@@ -274,14 +271,13 @@ class ProcessBackend(ExecutionBackend):
             with self._setup_lock:
                 handle = self._share_model(model) if model is not None else None
                 pool = self._ensure_pool()
-
-            def submit(indices):
-                group = [(tasks[i].fn, tasks[i].payload) for i in indices]
-                return pool.submit(
-                    worker.remote_execute_many, handle, group, capture
+            futures = [
+                pool.submit(
+                    worker.remote_execute, handle, task.fn, task.payload, capture
                 )
-
-            outcomes = self.queue.run(submit, tasks)
+                for task in tasks
+            ]
+            outcomes = [future.result() for future in futures]
         except Exception as exc:
             # Worker crash, pickling failure, shm exhaustion, or a
             # deterministic task error: re-run serially.  Task errors
@@ -298,21 +294,10 @@ class ProcessBackend(ExecutionBackend):
                 _merge_blob(model, blob)
                 results.append(result)
         if capture:
-            summary = self.queue.last
             _runtime.event(
                 "parallel_map",
                 fn=tasks[0].fn,
                 shards=len(tasks),
-                workers=self.workers,
-            )
-            _runtime.event(
-                "queue_map",
-                fn=tasks[0].fn,
-                items=len(tasks),
-                tasks=summary.get("tasks", 0),
-                steals=summary.get("steals", 0),
-                resubmits=summary.get("resubmits", 0),
-                mode=self.queue.policy.mode,
                 workers=self.workers,
             )
         return results

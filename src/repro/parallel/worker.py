@@ -3,9 +3,10 @@
 Every parallelizable operation in the pipeline is expressed as a named
 *shard function* — ``(model, payload) -> result`` — registered in
 :data:`SHARD_FNS`.  The serial backend calls :func:`execute` directly
-in the parent process; the process backend ships a
-:class:`~repro.parallel.shm.SharedHandle` plus the payload to a pool
-worker and runs :func:`remote_execute`.  Both paths run the *same*
+in the parent process; the process backend submits each shard as one
+pool task that ships a :class:`~repro.parallel.shm.SharedHandle` plus
+the payload to whichever worker is idle and runs
+:func:`remote_execute` there.  Both paths run the *same*
 function on the *same* shard with the *same* seed stream, which is what
 makes serial and parallel results bit-identical.
 
@@ -125,12 +126,11 @@ def _fn_distill(_model, payload: dict) -> dict:
 
 
 def _fn_synthetic(_model, payload: dict) -> dict:
-    """Deterministic timed no-op shard for scheduler benches and tests.
+    """Deterministic timed no-op shard for backend tests.
 
-    Sleeps ``sleep_ms`` (wall time parallelizes even on a 1-core box, so
-    the queue bench can measure *scheduling* rather than the machine)
-    and returns a pure function of the payload, so bit-identity checks
-    work on it like on any real shard.
+    Sleeps ``sleep_ms`` (so a test can make shards complete out of
+    order) and returns a pure function of the payload, so bit-identity
+    checks work on it like on any real shard.
     """
     import time
 
@@ -231,16 +231,3 @@ def remote_execute(handle, fn: str, payload: dict, capture: bool):
         TIMESERIES.clear()
     return result, blob
 
-
-def remote_execute_many(handle, subtasks, capture: bool) -> list:
-    """Execute a *group* of shards in one pool round trip.
-
-    ``subtasks`` is a list of ``(fn, payload)`` pairs — one contiguous
-    run of micro-shards grouped by the work-stealing queue.  Each shard
-    still goes through :func:`remote_execute` individually, so every
-    micro-shard produces its own ``(result, blob)`` exactly as if it had
-    been dispatched alone; grouping changes the dispatch overhead, never
-    the computation or the telemetry granularity.
-    """
-    return [remote_execute(handle, fn, payload, capture)
-            for fn, payload in subtasks]

@@ -93,9 +93,6 @@ class ServeConfig:
     max_wait_us: float = 2000.0
     #: Admission bound on requests in flight (queued, not yet served).
     queue_limit: int = 64
-    #: Shard the micro-batch axis across the parallel backend's pool
-    #: (no-op under the serial backend; bit-identical either way).
-    shard_batches: bool = True
     #: Parallel inference lanes.  Tenants map to lanes deterministically
     #: (``crc32(name) % lanes``), so any lane count serves bit-identical
     #: logits; more lanes let different tenants' batches overlap.
@@ -566,7 +563,7 @@ class AnalogServer:
         entry = self.registry.model(model)
         shard_size = len(images)
         backend = get_backend()
-        if self.config.shard_batches and backend.workers > 1:
+        if backend.workers > 1:
             # Split the micro-batch across the pool.  Serving-pinned
             # engines are batch-composition independent, so any shard
             # plan yields bit-identical logits.
@@ -657,16 +654,6 @@ class AnalogServer:
             )
         return rows
 
-    @staticmethod
-    def _queue_stats() -> dict:
-        """Work-stealing scheduler counters (empty under serial backend)."""
-        from repro.parallel.backend import get_backend
-
-        queue = getattr(get_backend(), "queue", None)
-        if queue is None:
-            return {}
-        return {**queue.stats.as_dict(), "last": dict(queue.last)}
-
     def stats(self) -> ServerStats:
         batcher = self._batcher.stats
         return ServerStats(
@@ -699,7 +686,6 @@ class AnalogServer:
                 for name in self.registry.names()
             },
             "lanes": self.lane_stats(),
-            "queue": self._queue_stats(),
             "maintenance": {},
         }
         if self.telemetry is not None:

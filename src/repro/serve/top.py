@@ -46,7 +46,6 @@ def render_top(stats: dict, clock=time.time) -> str:
     maintenance = stats.get("maintenance", {})
     health = stats.get("health", {})
     lanes = stats.get("lanes", [])
-    queue = stats.get("queue", {})
 
     tenant_lane = {
         name: row.get("lane", 0)
@@ -87,13 +86,6 @@ def render_top(stats: dict, clock=time.time) -> str:
         + f" maintenance_ticks={server.get('maintenance_ticks', 0)}"
         + f" anomalies={health.get('anomalies', 0)}"
     )
-    if queue:
-        header += (
-            f"  queue[{queue.get('last', {}).get('mode', '-')}]"
-            + f" tasks={queue.get('tasks', 0)}"
-            + f" steals={queue.get('steals', 0)}"
-            + f" resubmits={queue.get('resubmits', 0)}"
-        )
     lines = [header, ""]
     lines.extend(
         render_table(

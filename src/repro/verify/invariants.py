@@ -901,14 +901,14 @@ def check_queue_merge_order_identity(
     seed: int = 0,
     shard_size: int = 2,
 ) -> None:
-    """Micro-shard execution order is invisible after the index merge.
+    """Shard execution order is invisible after the index merge.
 
-    This is the engine-level contract the work-stealing queue relies
-    on: canonical micro-shards may run in *any* order (steals reorder
-    them, speculation duplicates them on replica engines), yet merging
-    outcomes strictly by shard index reproduces the serial map bit for
-    bit, with the same final pulse count — even with drift aging
-    enabled, because conductances only move at explicit sync points.
+    This is the engine-level contract the process backend relies on:
+    pool workers finish canonical shards in whatever order they
+    happen to, yet merging outcomes strictly by shard index reproduces
+    the serial map bit for bit, with the same final pulse count — even
+    with drift aging enabled, because conductances only move at
+    explicit sync points.
     """
     drifted = with_drift(config, _default_drift(seed))
     limit = float(np.abs(x).max()) or 1.0
@@ -926,12 +926,6 @@ def check_queue_merge_order_identity(
         outcomes: list = [None] * len(shards)
         for index in order:
             outcomes[index] = engine.matvec(shards[index])
-        # A speculative duplicate runs on a replica and is discarded
-        # whole; it must not perturb the primary's merged outputs.
-        twin_index = int(order[0])
-        twin = _engine(weight, drifted, predictor, seed=seed)
-        twin.set_dac_range(limit)
-        twin.matvec(shards[twin_index])  # loser outcome: dropped
         if engine.pulse_count != serial_engine.pulse_count:
             raise InvariantViolation(
                 f"permutation {trial}: {engine.pulse_count} pulses != "

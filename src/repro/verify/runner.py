@@ -354,9 +354,9 @@ def _catalog(
             weight, tiny_config(adc_bits=6), IdealPredictor(), x, seed=seed
         ),
     )
-    # Work-stealing queue + multi-lane serving contracts (PR 10): the
-    # engine-level statements behind out-of-order micro-shard execution
-    # and cross-lane tenant interleaving.
+    # Process-pool and multi-lane serving contracts: the engine-level
+    # statements behind out-of-order shard completion and cross-lane
+    # tenant interleaving.
     yield (
         "metamorphic/queue/merge_order_identity",
         lambda: inv.check_queue_merge_order_identity(

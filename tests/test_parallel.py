@@ -233,6 +233,55 @@ def test_killed_worker_evicts_warm_pool_and_releases_shm(digital_model) -> None:
         assert serial == evaluate_accuracy(digital_model, x, y, batch_size=2)
 
 
+def test_out_of_order_completion_merges_in_task_order(monkeypatch) -> None:
+    """Shards that finish out of order still come back in task order.
+
+    Sleeps fall with the index, so on two workers shard 1 finishes
+    before shard 0.  The pool hands shards to idle workers in FIFO
+    order and the backend reads results by task index, so the merged
+    list is the serial map whatever the completion order.
+    """
+    import threading
+
+    n = 4
+    tasks = [
+        ShardTask("synthetic", {"index": i, "sleep_ms": 100.0 * (n - i)})
+        for i in range(n)
+    ]
+    serial = SerialBackend().run_tasks(None, tasks)
+    backend = ProcessBackend(2)
+    try:
+        warm = [ShardTask("synthetic", {"index": i}) for i in range(2)]
+        backend.run_tasks(None, warm)  # both workers up before timing
+        pool = backend._pool
+        completed: list = []
+        all_done = threading.Event()
+
+        class RecordingPool:
+            """Pass-through to the real pool that logs completion order."""
+
+            def submit(self, fn, handle, name, payload, capture):
+                future = pool.submit(fn, handle, name, payload, capture)
+
+                def record(_future, index=payload["index"]):
+                    completed.append(index)
+                    if len(completed) == n:
+                        all_done.set()
+
+                future.add_done_callback(record)
+                return future
+
+        monkeypatch.setattr(backend, "_ensure_pool", RecordingPool)
+        parallel = backend.run_tasks(None, tasks)
+        assert all_done.wait(timeout=10.0)
+    finally:
+        backend.close()
+    assert not backend._broken
+    assert completed != sorted(completed), completed
+    assert parallel == serial
+    assert [r["index"] for r in parallel] == list(range(n))
+
+
 def test_parallel_backend_restores_previous() -> None:
     before = get_backend()
     with parallel_backend(2) as backend:
@@ -402,6 +451,39 @@ def test_int8_geniex_logits_identical(workers, int8_geniex_hardware, eval_batch)
     with parallel_backend(workers):
         parallel = predict_logits(int8_geniex_hardware, x, batch_size=2)
     assert np.array_equal(serial, parallel)
+
+
+@pytest.fixture(scope="module")
+def geniex_hardware(digital_model, tiny_geniex):
+    """Float hardware on the GENIEx surrogate."""
+    return convert_to_hardware(
+        digital_model,
+        make_tiny_crossbar_config(adc_bits=6),
+        predictor=tiny_geniex,
+        rng=np.random.default_rng(5),
+        engine_cache=False,
+    )
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+def test_geniex_eval_and_square_identical(workers, geniex_hardware, eval_batch):
+    """Float GENIEx evaluation and Square match serial at 2 and 4 workers."""
+    x, y = eval_batch
+
+    def square():
+        return SquareAttack(8 / 255, max_queries=4, seed=3, batch_size=4).generate(
+            geniex_hardware, x, y
+        )
+
+    serial_acc = evaluate_accuracy(geniex_hardware, x, y, batch_size=4)
+    serial = square()
+    with parallel_backend(workers):
+        parallel_acc = evaluate_accuracy(geniex_hardware, x, y, batch_size=4)
+        parallel = square()
+    assert serial_acc == parallel_acc
+    assert serial.x_adv.tobytes() == parallel.x_adv.tobytes()
+    assert (serial.queries == parallel.queries).all()
+    assert (serial.success == parallel.success).all()
 
 
 # ----------------------------------------------------------------------

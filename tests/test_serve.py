@@ -509,7 +509,7 @@ def test_live_stats_exposes_lanes_and_queue(tiny_serve_lab) -> None:
     _, server, _ = _run_mixed_traffic(tiny_serve_lab, lanes=2)
     payload = server.live_stats()
     assert "lanes" in payload and len(payload["lanes"]) == 2
-    assert "queue" in payload  # {} under the serial backend
+    assert set(payload["queues"]) == set(server.registry.names())
     frame = render_top_frame(payload)
     assert "lane" in frame and "util" in frame
 
@@ -521,7 +521,7 @@ def render_top_frame(payload: dict) -> str:
 
 
 def test_render_top_lane_and_queue_columns() -> None:
-    """Dashboard renders the lane table and queue header from a payload."""
+    """Dashboard renders the lane table and tenant queue column."""
     payload = {
         "server": {
             "requests": 8,
@@ -532,7 +532,7 @@ def test_render_top_lane_and_queue_columns() -> None:
             "pulses": {"fp": 128},
         },
         "tenants": {"fp": {"qps": 3.5, "p50_ms": 1.2, "p99_ms": 2.5}},
-        "queues": {"fp": 0},
+        "queues": {"fp": 3},
         "health": {"anomalies": 0},
         "lanes": [
             {
@@ -550,22 +550,20 @@ def test_render_top_lane_and_queue_columns() -> None:
                 "tenants": [],
             },
         ],
-        "queue": {
-            "tasks": 7,
-            "steals": 2,
-            "resubmits": 1,
-            "last": {"mode": "adaptive"},
-        },
     }
     frame = render_top_frame(payload)
-    assert "queue[adaptive] tasks=7 steals=2 resubmits=1" in frame
     assert "42%" in frame and "5%" in frame
     lines = frame.splitlines()
     lane_header = next(line for line in lines if "busy ms" in line)
     assert "lane" in lane_header and "util" in lane_header
-    # The tenant table's lane column places fp on its hash lane (0).
+    tenant_header = next(line for line in lines if "tenant" in line)
+    assert tenant_header.split()[:8] == [
+        "tenant", "lane", "qps", "p50", "ms", "p99", "ms", "queue"
+    ]
+    # The tenant row places fp on its hash lane (0), and its queue
+    # column shows the batcher's depth.
     tenant_row = next(line for line in lines if line.lstrip().startswith("fp"))
-    assert tenant_row.split()[1] == "0"
+    assert tenant_row.split()[:6] == ["fp", "0", "3.5", "1.20", "2.50", "3"]
 
 
 # ----------------------------------------------------------------------

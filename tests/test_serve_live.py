@@ -214,30 +214,35 @@ def test_rejections_burn_the_reject_budget(tiny_serve_lab) -> None:
 # ----------------------------------------------------------------------
 
 def test_logits_bit_identical_with_telemetry_on_and_off(tiny_serve_lab) -> None:
+    """Off, 1% and 100% tracing serve the same bits as serial inference."""
     images = tiny_serve_lab.eval_images(8)
+    order = [i % len(images) for i in range(16)]
 
     async def serve_all(telemetry):
         registry = make_registry(tiny_serve_lab, SLO)
         server = AnalogServer(registry, serve_config(), telemetry=telemetry)
         async with server:
             tasks = [
-                asyncio.create_task(server.submit("fp", images[i % len(images)]))
-                for i in range(16)
+                asyncio.create_task(server.submit("fp", images[i]))
+                for i in order
             ]
             results = await asyncio.gather(*tasks)
         return np.stack([r.logits for r in results])
 
+    reference = predict_logits(
+        make_registry(tiny_serve_lab, SLO).model("fp").model, images
+    )[order]
     bare = asyncio.run(serve_all(None))
-    full = asyncio.run(
-        serve_all(
-            LiveTelemetry(
-                trace_sample=1.0,
-                store=TimeSeriesStore(),
-                detector=quick_detector(),
-            )
-        )
+    sampled = LiveTelemetry(trace_sample=0.01, store=TimeSeriesStore())
+    full = LiveTelemetry(
+        trace_sample=1.0,
+        store=TimeSeriesStore(),
+        detector=quick_detector(),
     )
-    np.testing.assert_array_equal(bare, full)  # bit for bit
+    np.testing.assert_array_equal(bare, reference)  # bit for bit
+    np.testing.assert_array_equal(asyncio.run(serve_all(sampled)), reference)
+    np.testing.assert_array_equal(asyncio.run(serve_all(full)), reference)
+    assert full.tenant("fp").traced == len(order)  # 100% traces every one
 
 
 # ----------------------------------------------------------------------
